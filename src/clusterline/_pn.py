@@ -128,42 +128,6 @@ def count_prob_mp(lam: float, eps: float, x: float, n: int, dps: int) -> tuple[f
         return float(total), float(min(mass, cap))
 
 
-def count_prob_deriv(lam: float, eps: float, x: float, n: int) -> float:
-    """d/dx of the n-cluster probability profile at x.
-
-    Differentiable everywhere (the lattice-point jumps cancel), evaluated
-    analytically term by term.
-    """
-    if x <= 0.0:
-        return 0.0
-    i_max = floor_ratio(x, eps) - n
-    if i_max < 0:
-        return 0.0
-    a = lam * math.exp(-lam * eps)
-    inv_nfact = 1.0 / float(math.factorial(n)) if n <= 170 else math.exp(-math.lgamma(n + 1))
-    c = x * a
-    terms: list[float] = []
-    bound = _initial_bound(c, n, inv_nfact)
-    for i in range(i_max + 1):
-        k = n + i
-        if k >= 1:
-            b = (x - k * eps) * a
-            inv_ifact = 1.0 / float(math.factorial(i)) if i <= 170 else math.exp(-math.lgamma(i + 1))
-            try:
-                term = k * b ** (k - 1) * a * inv_nfact * inv_ifact
-            except OverflowError:
-                term = math.inf
-            if not math.isfinite(term):
-                return math.nan
-            terms.append(-term if i % 2 else term)
-        if i >= 1:
-            bound *= c / i
-            # derivative terms carry an extra factor k/x over the plain ones
-            if c < 0.5 * (i + 1) and bound * 4.0 * (n + i + 1) < _TAIL_CUTOFF * x:
-                break
-    return math.fsum(terms)
-
-
 def count_prob_grid(lam: float, eps: float, xs: np.ndarray, n: int) -> np.ndarray:
     """Vectorized n-cluster probability profile over an array of lengths.
 

@@ -42,6 +42,7 @@ from .mc_engine import SampleConfig, estimate
 from .stats_compare import compare_continuous, compare_pmf
 
 SCHEMA_VERSION = "1"
+GRID_MAX_POINTS = 100_000
 
 
 def _fmt(value) -> str:
@@ -84,17 +85,36 @@ def _model(args) -> IntervalModel:
 
 
 def _parse_grid(text: str) -> list[float]:
-    """Parse 'min:max:step' (endpoints inclusive within 1e-12) or a float."""
+    """Parse 'min:max:step' (endpoints inclusive within 1e-12) or a float.
+
+    Raises:
+        ValueError: On a malformed grid or one of more than GRID_MAX_POINTS
+            points (checked before any point is built).
+    """
     if ":" not in text:
         return [float(text)]
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must be min:max:step, got {text!r}")
     lo, hi, step = (float(p) for p in parts)
-    if step <= 0 or hi < lo:
+    if not (step > 0 and hi >= lo):
         raise ValueError(f"bad grid {text!r}")
-    count = int(math.floor((hi - lo) / step + 1e-12)) + 1
-    return [lo + k * step for k in range(count)]
+    # the point count is floor(steps) + 1, at most the cap iff steps < cap
+    steps = (hi - lo) / step + 1e-12
+    if not steps < GRID_MAX_POINTS:
+        raise ValueError(f"grid {text!r} has more than {GRID_MAX_POINTS} points")
+    return [lo + k * step for k in range(int(steps) + 1)]
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1 (anything else is a usage error)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -120,10 +140,12 @@ def _cmd_moments(args) -> None:
 
 def _cmd_coverage(args) -> None:
     report = coverage_report(_model(args))
+    closed = report.closed_form
     rows = [
         {
             "coverage": report.quadrature,
-            "closed_form": report.closed_form,
+            # the experimental series can overflow; an empty field, as for ks in compare
+            "closed_form": closed if math.isfinite(closed) else "",
             "mismatch": int(report.mismatch),
         }
     ]
@@ -326,8 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
         "coverage",
         help="full-coverage probability",
         description=(
-            "Full-coverage probability: authoritative quadrature value next to the "
-            "experimental closed-form series. Columns: coverage, closed_form, mismatch."
+            "Full-coverage probability: authoritative renewal-identity value next to the "
+            "experimental closed-form series. Columns: coverage, closed_form, mismatch "
+            "(closed_form is empty when the series is not finite)."
         ),
     )
     _add_common(sp, length=True)
@@ -344,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.add_argument("--law", choices=("B", "U"), required=True, help="which law to sample")
     sp.add_argument("--n", default="1", help="cycle count for --law U")
-    sp.add_argument("--points", type=int, default=200, help="grid size")
+    sp.add_argument("--points", type=_positive_int, default=200, help="grid size (positive integer)")
     sp.set_defaults(handler=_cmd_density)
 
     sp = subs.add_parser(
@@ -374,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--scenario", required=True, help="complete|incomplete|circle|coverage|b-law|u-law")
     sp.add_argument("--samples", type=int, default=100_000, help="replication count")
     sp.add_argument("--seed", type=int, default=0, help="run seed")
-    sp.add_argument("--jobs", type=int, default=1, help="parallelism hint (results are identical for any value)")
+    sp.add_argument("--jobs", type=int, default=1, help="parallelism hint (>= 1); changes neither results nor threads")
     sp.add_argument("--n", default=None, help="cycle count for u-law")
     sp.set_defaults(handler=_cmd_simulate)
 
@@ -391,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--scenario", required=True, help="complete|incomplete|circle|coverage|b-law|u-law")
     sp.add_argument("--samples", type=int, default=100_000, help="replication count")
     sp.add_argument("--seed", type=int, default=0, help="run seed")
-    sp.add_argument("--jobs", type=int, default=1, help="parallelism hint (results are identical for any value)")
+    sp.add_argument("--jobs", type=int, default=1, help="parallelism hint (>= 1); changes neither results nor threads")
     sp.add_argument("--n", default=None, help="cycle count for u-law")
     sp.set_defaults(handler=_cmd_compare)
 
@@ -404,7 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sp.add_argument("--curve", choices=("mean", "var", "pmf"), required=True)
-    sp.add_argument("--lambda", dest="lam_grid", required=True, help="intensity grid min:max:step (inclusive)")
+    grid_help = f"intensity grid min:max:step (inclusive, at most {GRID_MAX_POINTS} points)"
+    sp.add_argument("--lambda", dest="lam_grid", required=True, help=grid_help)
     sp.add_argument("--epsilon", type=float, required=True)
     sp.add_argument("--length", type=float, required=True)
     sp.add_argument("--n", default=None, help="comma list of counts for --curve pmf (default 0,1,2,3)")

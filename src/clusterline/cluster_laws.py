@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._pn import count_prob, count_prob_deriv, count_prob_grid, count_prob_deriv_grid
+from ._pn import count_prob, count_prob_grid, count_prob_deriv_grid
 from .quadrature import PanelCdf
 
 # Exponent guard: above this, e^{(lam+s)eps} overflows and the transforms
@@ -156,14 +156,8 @@ def cluster_length_law(params: ModelParams) -> MixedLaw:
 
 
 def cluster_length_density_at(params: ModelParams, x: float) -> float:
-    """Scalar density of the cluster span at x (continuous part only)."""
-    lam, eps = params.intensity, params.radius
-    if x <= eps:
-        return 0.0
-    u = x - eps
-    a = lam * math.exp(-lam * eps)
-    value, _ = count_prob(lam, eps, u, 0)
-    return max(0.0, a * value + math.exp(-lam * eps) * count_prob_deriv(lam, eps, u, 0))
+    """Scalar density of the cluster span at x: cluster_length_law(params).density(x)."""
+    return cluster_length_law(params).density(x)
 
 
 def cycle_sum_density(params: ModelParams, n: int, x: float) -> float:

@@ -20,12 +20,9 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from ._pn import count_prob, count_prob_mp, floor_ratio
-from .cluster_laws import ModelParams, cluster_length_law
+from .cluster_laws import ModelParams
 from .errors import NormalizationError, PrecisionWarning
-from .quadrature import PanelCdf, integrate_adaptive
 from .special_fn import partial_exp_sum, stirling_row
 
 _CANCEL_TOL = 1e-9
@@ -65,7 +62,7 @@ def _fsum_pair(terms: list, mags: list) -> tuple[float, float]:
     return math.fsum(terms), math.fsum(mags)
 
 
-def _finish_pmf(value: float, abs_sum: float, what: str, mp_eval=None) -> float:
+def _finish_pmf(value: float, abs_sum: float, what: str, mp_eval=None, stacklevel: int = 3) -> float:
     """Stabilize an alternating pmf sum, then clamp to [0, 1].
 
     The cancellation estimate is working-epsilon * sum|term| / |value|,
@@ -97,7 +94,7 @@ def _finish_pmf(value: float, abs_sum: float, what: str, mp_eval=None) -> float:
                 "value clamped but unreliable",
                 estimate=estimate,
             ),
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
     if not math.isfinite(value):
         return math.nan
@@ -113,12 +110,18 @@ def pmf_complete(model: IntervalModel, n: int) -> float:
     if n < 0:
         raise ValueError(f"count must be non-negative, got {n}")
     lam, eps = model.params.intensity, model.params.radius
-    value, abs_sum = count_prob(lam, eps, model.length, n)
+    return _profile(lam, eps, model.length, n, f"pmf_complete(n={n})")
+
+
+def _profile(lam: float, eps: float, x: float, n: int, what: str) -> float:
+    """The complete-count profile p_n(x), stabilized and clamped to [0, 1]."""
+    value, abs_sum = count_prob(lam, eps, x, n)
     return _finish_pmf(
         value,
         abs_sum,
-        f"pmf_complete(n={n})",
-        mp_eval=lambda dps: count_prob_mp(lam, eps, model.length, n, dps),
+        what,
+        mp_eval=lambda dps: count_prob_mp(lam, eps, x, n, dps),
+        stacklevel=4,
     )
 
 
@@ -449,41 +452,18 @@ def var_critical_points(model: IntervalModel) -> tuple[float, ...]:
 def coverage_prob(model: IntervalModel) -> float:
     """Probability that [0, L] is fully covered. Authoritative value.
 
-    Integrates lam e^{-lam x} P(first cluster span >= L - x) over the
-    first-point position x in [0, radius] by adaptive quadrature at
-    absolute tolerance 1e-10. The span survival combines the atom at the
-    radius with the integrated density of the span law; it is evaluated
-    from the complementary CDF, whose truncation error is checked against
-    the captured-mass identity inside the CDF builder.
-
-    Raises:
-        QuadratureError: If the adaptive integration cannot converge.
+    Renewal identity p0(L) - e^{-lam eps} p0(L - eps), with p0 the
+    zero-cluster profile (1 for arguments <= 0). [0, L] is covered exactly
+    when no cluster completes inside it and the first point lies within
+    one radius of the origin; by memorylessness the runs without a point
+    in [0, eps] carry e^{-lam eps} p0(L - eps). A finite sum of the
+    profile the complete-count pmf uses, with the same precision
+    escalation and PrecisionWarning; for L <= radius it is 1 - e^{-lam eps}.
     """
     lam, eps = model.params.intensity, model.params.radius
     L = model.length
-    if L <= eps:
-        # span >= radius >= L - x for every first-point position in [0, eps],
-        # so the survival factor is identically 1
-        value, _, _ = integrate_adaptive(
-            lambda xs: lam * np.exp(-lam * xs), 0.0, eps, abs_tol=1e-10
-        )
-        return min(1.0, max(0.0, value))
-
-    # survival of the span needs only [radius, L]: complement of the
-    # density mass below t plus the atom (total mass 1 is an identity of
-    # the law, cross-checked by its own tests)
-    law = cluster_length_law(model.params)
-    lattice = [eps + k * eps for k in range(1, floor_ratio(L, eps) + 1)]
-    partial = PanelCdf(law.density, eps, L, breakpoints=[t for t in lattice if t < L])
-
-    def integrand(xs):
-        t = L - xs
-        below = np.where(t > eps, law.atom_mass + np.asarray(partial(t), dtype=float), 0.0)
-        return lam * np.exp(-lam * xs) * (1.0 - below)
-
-    cuts = [L - k * eps for k in range(1, floor_ratio(L, eps) + 2)]
-    cuts = [c for c in cuts if 0.0 < c < eps]
-    value, _, _ = integrate_adaptive(integrand, 0.0, eps, abs_tol=1e-10, breakpoints=cuts)
+    what = "coverage_prob"
+    value = _profile(lam, eps, L, 0, what) - math.exp(-lam * eps) * _profile(lam, eps, L - eps, 0, what)
     return min(1.0, max(0.0, value))
 
 
@@ -522,7 +502,12 @@ def coverage_prob_closed(model: IntervalModel) -> float:
 
 @dataclass(frozen=True)
 class CoverageReport:
-    """Authoritative coverage value next to the experimental closed form."""
+    """Authoritative coverage value next to the experimental closed form.
+
+    ``quadrature`` holds the renewal-identity value of coverage_prob; the
+    field keeps its name, from the quadrature route it replaced, for
+    compatibility.
+    """
 
     quadrature: float
     closed_form: float

@@ -2,17 +2,16 @@
 cluster decomposition the closed forms describe.
 
 Replication r draws from a Philox counter-based generator keyed by the
-128-bit integer (seed << 64) | r. The derivation is stable across versions
-and makes every replication's stream independent of scheduling, so results
-are bit-identical no matter how replications are chunked across workers;
-aggregation is integer counting or multiset union, both order-free.
+128-bit integer (seed << 64) | r. The derivation is stable across versions,
+so a run's results depend only on its seed and replication count. Every
+replication runs in the calling thread: the parallelism hint is validated
+and otherwise changes neither results nor thread count.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,11 @@ SCENARIOS = ("complete", "incomplete", "circle", "coverage", "b_law", "u_law")
 
 @dataclass(frozen=True)
 class SampleConfig:
-    """Replication plan for a simulation run."""
+    """Replication plan for a simulation run.
+
+    parallelism_hint is validated (>= 1) and kept for compatibility; it
+    changes neither results nor thread count.
+    """
 
     seed: int
     replications: int
@@ -179,7 +182,7 @@ def coverage_indicator(points: PointSample, epsilon: float, length: float | None
 
 
 class _RngPool:
-    """One Philox generator reused across a chunk's replications.
+    """One Philox generator reused across a run's replications.
 
     Resetting key and counter through the state dict is bit-identical to
     constructing Philox(key=(seed << 64) | rep) afresh (covered by a
@@ -296,7 +299,7 @@ def _cycle_sum(gen, scale, eps, order, block=8) -> float:
     return total
 
 
-def _count_chunk(params, scenario, length, seed, start, stop, cycle_order):
+def _count_chunk(params, scenario, length, seed, reps, cycle_order):
     lam, eps = params.intensity, params.radius
     scale = 1.0 / lam
     counts: Counter[int] = Counter()
@@ -306,21 +309,21 @@ def _count_chunk(params, scenario, length, seed, start, stop, cycle_order):
         mean_n = lam * length
         block = max(8, int(mean_n + 4.0 * math.sqrt(mean_n + 1.0) + 4.0))
         pick = 0 if scenario == "complete" else 1
-        for rep in range(start, stop):
+        for rep in range(reps):
             counts[_interval_run_counts(pool.reset(rep), scale, eps, length, block)[pick]] += 1
     elif scenario == "circle":
         mu = lam * length
-        for rep in range(start, stop):
+        for rep in range(reps):
             counts[_circle_count_fast(pool.reset(rep), mu, eps, length)] += 1
     elif scenario == "coverage":
         block = max(8, int(lam * length + 4.0 * math.sqrt(lam * length + 1.0)))
-        for rep in range(start, stop):
+        for rep in range(reps):
             counts[_coverage_outcome(pool.reset(rep), scale, eps, length, block)] += 1
     elif scenario == "b_law":
-        for rep in range(start, stop):
+        for rep in range(reps):
             values.append(_cluster_span(pool.reset(rep), scale, eps))
     else:  # u_law
-        for rep in range(start, stop):
+        for rep in range(reps):
             values.append(_cycle_sum(pool.reset(rep), scale, eps, cycle_order))
     return counts, values
 
@@ -336,43 +339,31 @@ def estimate(
 
     Integer scenarios (complete, incomplete, circle, coverage) return an
     EmpiricalDistribution; the continuous ones (b_law, u_law) return the
-    sorted sample of spans / cycle sums for distribution tests. Results
-    depend only on (seed, replications, params, scenario), never on the
-    parallelism hint.
+    sorted sample of spans / cycle sums for distribution tests. All
+    replications run in the calling thread; the parallelism hint changes
+    neither results nor thread count.
 
     Args:
         params: Deployment model.
         scenario: One of SCENARIOS ('-' accepted in place of '_').
         length: Domain length / circumference; ignored by b_law and u_law.
-        config: Seed, replication count, and parallelism hint.
+        config: Seed, replication count, and parallelism hint (unused).
         cycle_order: Number of cycles summed per replication for u_law.
+
+    Raises:
+        ValueError: On an unknown scenario, a cycle_order below 1 for
+            u_law, or a non-finite or non-positive length for the
+            scenarios that use it.
     """
     key = scenario.lower().replace("-", "_")
     if key not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}; expected one of {SCENARIOS}")
     if key == "u_law" and cycle_order < 1:
         raise ValueError(f"cycle_order must be >= 1, got {cycle_order}")
+    if key not in ("b_law", "u_law") and not (length > 0.0 and math.isfinite(length)):
+        raise ValueError(f"length must be positive and finite, got {length}")
 
-    reps = config.replications
-    workers = min(config.parallelism_hint, reps)
-    if workers == 1:
-        chunks = [_count_chunk(params, key, length, config.seed, 0, reps, cycle_order)]
-    else:
-        bounds = np.linspace(0, reps, workers + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    _count_chunk, params, key, length, config.seed, int(lo), int(hi), cycle_order
-                )
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-                if hi > lo
-            ]
-            chunks = [f.result() for f in futures]
-
+    counts, values = _count_chunk(params, key, length, config.seed, config.replications, cycle_order)
     if key in ("b_law", "u_law"):
-        values = np.concatenate([np.asarray(v) for _, v in chunks]) if chunks else np.empty(0)
-        return np.sort(values)
-    merged: Counter[int] = Counter()
-    for counts, _ in chunks:
-        merged.update(counts)
-    return EmpiricalDistribution(counts=dict(sorted(merged.items())), total=reps)
+        return np.sort(np.asarray(values, dtype=float))
+    return EmpiricalDistribution(counts=dict(sorted(counts.items())), total=config.replications)

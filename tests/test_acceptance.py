@@ -225,7 +225,7 @@ def test_criterion_08_figure_reproduction():
         assert abs(up - down) / (2.0 * h) < 1e-5
 
 
-@criterion(9, "coverage quadrature vs MC on a 12-point grid; closed form reported")
+@criterion(9, "coverage (renewal identity) vs MC on a 12-point grid; closed form reported")
 def test_criterion_09_coverage_cross_validation():
     mismatches = []
     for lam in (0.5, 1.0, 2.0, 4.0):

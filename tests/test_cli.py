@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import clusterline
-from clusterline.cli import main
+from clusterline.cli import GRID_MAX_POINTS, _parse_grid, main
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -121,6 +121,35 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as info:
         main(["not-a-command"])
     assert info.value.code == 2
+    for points in ("-3", "0"):
+        with pytest.raises(SystemExit) as info:
+            main(["density", "--law", "B", "--lambda", "1", "--epsilon", "1", "--points", points])
+        assert info.value.code == 2
+
+
+def test_coverage_never_prints_nan(capsys):
+    # the experimental series is not finite here; the renewal value is
+    assert main("coverage --lambda 3 --epsilon 1 --length 400".split()) == 0
+    out = capsys.readouterr().out
+    assert "nan" not in out.lower() and "inf" not in out.lower()
+    row = out.splitlines()[1].split(",")
+    assert 0.0 <= float(row[0]) <= 1.0
+    assert row[1:] == ["", "1"]
+
+
+def test_simulate_rejects_infinite_length(capsys):
+    argv = "simulate --scenario complete --lambda 1 --epsilon 1 --length inf --samples 10"
+    assert main(argv.split()) == 1
+    assert "length" in capsys.readouterr().err
+
+
+def test_sweep_grid_point_cap(capsys):
+    # one point over the cap is refused before any point is built
+    assert main("sweep --curve mean --lambda 0:1:5e-6 --epsilon 1 --length 4".split()) == 1
+    assert "100000 points" in capsys.readouterr().err
+    assert len(_parse_grid(f"1:{GRID_MAX_POINTS}:1")) == GRID_MAX_POINTS
+    with pytest.raises(ValueError, match="points"):
+        _parse_grid(f"1:{GRID_MAX_POINTS + 1}:1")
 
 
 def test_sweep_grid_endpoints_inclusive(capsys):

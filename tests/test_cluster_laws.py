@@ -148,6 +148,16 @@ class TestSpanLaw:
         assert cluster_length_density_at(p, 1.5) == pytest.approx(math.exp(-1.0), abs=1e-12)
 
     @pytest.mark.parametrize("lam,eps", [(1.0, 1.0), (2.0, 0.5), (0.5, 2.0)])
+    def test_scalar_density_is_the_law_density(self, lam, eps):
+        p = ModelParams(lam, eps)
+        law = cluster_length_law(p)
+        lattice = [k * eps for k in range(6)]
+        for x in lattice + [x + 0.37 * eps for x in lattice] + [3 * eps - 1e-13, 3 * eps + 1e-13]:
+            value = cluster_length_density_at(p, x)
+            assert isinstance(value, float)
+            assert value == law.density(x)
+
+    @pytest.mark.parametrize("lam,eps", [(1.0, 1.0), (2.0, 0.5), (0.5, 2.0)])
     def test_total_mass(self, lam, eps):
         p = ModelParams(lam, eps)
         law = cluster_length_law(p)

@@ -4,7 +4,8 @@ Oracles used here are independent of the implementation path: hand-derived
 polynomial forms for the unit-radius length-4 model, the Poisson law for
 the vanishing-radius limit, a conditional-Poisson circular-spacings formula
 for the circle counts, a first-moment identity for incomplete counts, and
-a renewal identity for the coverage probability.
+for the coverage probability both a renewal identity and a quadrature of
+the span survival.
 """
 
 import math
@@ -34,7 +35,8 @@ from clusterline import (
     var_complete,
     var_critical_points,
 )
-from clusterline._pn import count_prob
+from clusterline._pn import count_prob, floor_ratio
+from clusterline.quadrature import PanelCdf, integrate_adaptive
 
 E = math.e
 
@@ -214,20 +216,55 @@ def coverage_renewal_identity(lam, eps, length):
     return p0(length) - math.exp(-lam * eps) * p0(length - eps)
 
 
+def coverage_by_quadrature(lam, eps, length):
+    """First-point quadrature: integrates lam e^{-lam x} P(span >= L - x)
+    over the first-point position x in [0, eps], with the span survival
+    taken from the span law's atom and its panel-integrated density."""
+    if length <= eps:
+        # span >= radius >= L - x for every x in [0, eps]: survival is 1
+        value, _, _ = integrate_adaptive(lambda xs: lam * np.exp(-lam * xs), 0.0, eps, abs_tol=1e-10)
+        return value
+    law = cl.cluster_length_law(ModelParams(lam, eps))
+    lattice = [eps + k * eps for k in range(1, floor_ratio(length, eps) + 1)]
+    partial = PanelCdf(law.density, eps, length, breakpoints=[t for t in lattice if t < length])
+
+    def integrand(xs):
+        t = length - xs
+        below = np.where(t > eps, law.atom_mass + np.asarray(partial(t), dtype=float), 0.0)
+        return lam * np.exp(-lam * xs) * (1.0 - below)
+
+    cuts = [length - k * eps for k in range(1, floor_ratio(length, eps) + 2)]
+    cuts = [c for c in cuts if 0.0 < c < eps]
+    value, _, _ = integrate_adaptive(integrand, 0.0, eps, abs_tol=1e-10, breakpoints=cuts)
+    return value
+
+
+COVERAGE_MODELS = [(1.0, 1.0, 2.0), (2.0, 1.0, 2.5), (0.5, 2.0, 5.0), (4.0, 1.0, 3.5), (1.3, 0.7, 3.1)]
+
+
 class TestCoverage:
     def test_short_domain_reduces_to_first_arrival(self):
         model = IntervalModel(ModelParams(2.0, 1.0), 0.8)
         assert coverage_prob(model) == pytest.approx(1.0 - math.exp(-2.0), abs=1e-9)
 
-    @pytest.mark.parametrize(
-        "lam,eps,length",
-        [(1.0, 1.0, 2.0), (2.0, 1.0, 2.5), (0.5, 2.0, 5.0), (4.0, 1.0, 3.5), (1.3, 0.7, 3.1)],
-    )
+    @pytest.mark.parametrize("lam,eps,length", COVERAGE_MODELS)
     def test_matches_renewal_identity(self, lam, eps, length):
         model = IntervalModel(ModelParams(lam, eps), length)
         assert coverage_prob(model) == pytest.approx(
             coverage_renewal_identity(lam, eps, length), abs=1e-8
         )
+
+    @pytest.mark.parametrize("lam,eps,length", COVERAGE_MODELS + [(2.0, 1.0, 0.8), (1.0, 1.0, 1.0)])
+    def test_matches_quadrature(self, lam, eps, length):
+        model = IntervalModel(ModelParams(lam, eps), length)
+        assert coverage_prob(model) == pytest.approx(coverage_by_quadrature(lam, eps, length), abs=1e-9)
+
+    def test_matches_quadrature_on_random_models(self):
+        for model in random_models(40):
+            lam, eps = model.params.intensity, model.params.radius
+            assert coverage_prob(model) == pytest.approx(
+                coverage_by_quadrature(lam, eps, model.length), abs=1e-9
+            )
 
     def test_monotone_in_intensity(self):
         values = [

@@ -229,6 +229,28 @@ class TestEstimate:
         ]
         assert (spans[0] == spans[1]).all()
 
+    def test_parallelism_hint_starts_no_thread(self, monkeypatch):
+        import threading
+
+        def refuse(self):
+            raise AssertionError("estimate started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        p = ModelParams(1.0, 1.0)
+        emp = estimate(p, "complete", 4.0, SampleConfig(seed=5, replications=200, parallelism_hint=4))
+        assert emp.total == 200
+
+    @pytest.mark.parametrize("length", [0.0, -1.0, math.inf, math.nan])
+    def test_length_validation(self, length):
+        p = ModelParams(1.0, 1.0)
+        for scenario in ("complete", "incomplete", "circle", "coverage"):
+            with pytest.raises(ValueError, match="length"):
+                estimate(p, scenario, length, SampleConfig(seed=0, replications=10))
+        # the span laws never read the domain length
+        assert estimate(p, "b_law", length, SampleConfig(seed=0, replications=10)).size == 10
+        cfg = SampleConfig(seed=0, replications=10)
+        assert estimate(p, "u_law", length, cfg, cycle_order=2).size == 10
+
     def test_scenario_validation(self):
         p = ModelParams(1.0, 1.0)
         with pytest.raises(ValueError):
