@@ -85,7 +85,7 @@ def _model(args) -> IntervalModel:
 
 
 def _parse_grid(text: str) -> list[float]:
-    """Parse 'min:max:step' (endpoints inclusive within 1e-12) or a float.
+    """Parse 'min:max:step' (endpoints inclusive within 1e-12 relative) or a float.
 
     Raises:
         ValueError: On a malformed grid or one of more than GRID_MAX_POINTS
@@ -99,8 +99,9 @@ def _parse_grid(text: str) -> list[float]:
     lo, hi, step = (float(p) for p in parts)
     if not (step > 0 and hi >= lo):
         raise ValueError(f"bad grid {text!r}")
-    # the point count is floor(steps) + 1, at most the cap iff steps < cap
-    steps = (hi - lo) / step + 1e-12
+    # the point count is floor(steps) + 1, at most the cap iff steps < cap;
+    # the slack is relative, as the rounding of (hi - lo) / step grows with it
+    steps = (hi - lo) / step * (1.0 + 1e-12)
     if not steps < GRID_MAX_POINTS:
         raise ValueError(f"grid {text!r} has more than {GRID_MAX_POINTS} points")
     return [lo + k * step for k in range(int(steps) + 1)]
@@ -395,7 +396,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(sp, length=True)
     sp.add_argument("--scenario", required=True, help="complete|incomplete|circle|coverage|b-law|u-law")
-    sp.add_argument("--samples", type=int, default=100_000, help="replication count")
+    sp.add_argument(
+        "--samples",
+        type=int,
+        default=100_000,
+        help="replication count; b-law/u-law print one row per sample",
+    )
     sp.add_argument("--seed", type=int, default=0, help="run seed")
     sp.add_argument("--jobs", type=int, default=1, help="parallelism hint (>= 1); changes neither results nor threads")
     sp.add_argument("--n", default=None, help="cycle count for u-law")

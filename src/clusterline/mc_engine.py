@@ -1,11 +1,21 @@
 """Monte Carlo engine: samples the point process and replays the exact
 cluster decomposition the closed forms describe.
 
-Replication r draws from a Philox counter-based generator keyed by the
-128-bit integer (seed << 64) | r. The derivation is stable across versions,
-so a run's results depend only on its seed and replication count. Every
-replication runs in the calling thread: the parallelism hint is validated
-and otherwise changes neither results nor thread count.
+Stream v2: a run draws its replications in chunks of rows, and chunk c of
+a run with seed s draws from a Philox counter-based generator keyed by the
+128-bit integer (s << 64) | c. The rows per chunk follow from a fixed
+budget of about 2^16 doubles per array over the model's expected row
+width. A run's results therefore depend only on its seed, its replication
+count and the model, and peak memory stays flat in L and in lambda * eps.
+
+Each chunk is scanned with array operations. The count scenarios draw a
+Poisson count per row and that many sorted uniforms, padded with inf
+(coverage on the horizon max(L, eps)). The span laws draw a geometric
+number of in-cluster gaps per cluster, each an exponential truncated to
+[0, eps]. sample_interval, sample_circle, decompose, circle_cluster_count
+and coverage_indicator are the per-sample reference operations that the
+scan reproduces. Every chunk runs in the calling thread: the parallelism
+hint is validated and otherwise changes neither results nor thread count.
 """
 
 from __future__ import annotations
@@ -19,6 +29,7 @@ import numpy as np
 from .cluster_laws import ModelParams
 
 _SEED_MASK = (1 << 64) - 1
+_CHUNK_ELEMENTS = 1 << 16  # doubles per chunk array
 
 SCENARIOS = ("complete", "incomplete", "circle", "coverage", "b_law", "u_law")
 
@@ -89,7 +100,11 @@ class EmpiricalDistribution:
 
 
 def replication_rng(seed: int, rep: int) -> np.random.Generator:
-    """Deterministic substream for replication ``rep`` of run ``seed``."""
+    """Philox substream ``rep`` of run ``seed``, keyed (seed << 64) | rep.
+
+    Under stream v2 the engine draws chunk c of a run from substream c;
+    the reference samplers accept any substream.
+    """
     key = ((seed & _SEED_MASK) << 64) | (rep & _SEED_MASK)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -181,151 +196,106 @@ def coverage_indicator(points: PointSample, epsilon: float, length: float | None
     return (e1 - a1) >= (L - x1)
 
 
-class _RngPool:
-    """One Philox generator reused across a run's replications.
+def _rows_per_chunk(row_width: float) -> int:
+    """Rows per chunk: the element budget over the expected row width."""
+    return max(1, int(_CHUNK_ELEMENTS / max(row_width, 1.0)))
 
-    Resetting key and counter through the state dict is bit-identical to
-    constructing Philox(key=(seed << 64) | rep) afresh (covered by a
-    regression test) and several times cheaper.
+
+def _chunks(seed: int, reps: int, rows: int):
+    """(generator, first replication, row count) of every chunk of a run."""
+    for chunk, start in enumerate(range(0, reps, rows)):
+        yield replication_rng(seed, chunk), start, min(rows, reps - start)
+
+
+def _padded_rows(gen: np.random.Generator, rows: int, mean_count: float, horizon: float):
+    """Poisson counts and each row's sorted uniform positions on [0, horizon),
+    padded on the right with inf (at least one inf column)."""
+    counts = gen.poisson(mean_count, size=rows)
+    width = int(counts.max()) + 1
+    pos = gen.random((rows, width))
+    pos *= horizon
+    pos[np.arange(width) >= counts[:, None]] = np.inf
+    pos.sort(axis=1)
+    return counts, pos
+
+
+def scan_rows(scenario: str, counts: np.ndarray, rows: np.ndarray, epsilon: float, length: float) -> np.ndarray:
+    """Outcome of a count scenario for every row of a chunk.
+
+    Each row of ``rows`` is one sorted point set padded on the right with
+    inf (at least one inf column); ``counts`` holds its number of points.
+    A gap beyond the radius ends a cluster and a gap exactly equal to it
+    keeps the connection; the inf after a row's last point ends its last
+    cluster. The comparisons are those of decompose (complete,
+    incomplete), circle_cluster_count (circle of circumference ``length``)
+    and coverage_indicator (coverage of [0, length]), element by element.
+
+    Raises:
+        ValueError: On a scenario that is not a count scenario.
     """
-
-    def __init__(self, seed: int):
-        self._ph = np.random.Philox(key=0)
-        self.gen = np.random.Generator(self._ph)
-        self._state = self._ph.state
-        self._key = self._state["state"]["key"]
-        self._counter = self._state["state"]["counter"]
-        self._seed = seed & _SEED_MASK
-
-    def reset(self, rep: int) -> np.random.Generator:
-        self._key[0] = rep & _SEED_MASK
-        self._key[1] = self._seed
-        self._counter[0] = 0
-        self._counter[1] = 0
-        self._counter[2] = 0
-        self._counter[3] = 0
-        self._state["buffer_pos"] = 4
-        self._state["has_uint32"] = 0
-        self._ph.state = self._state
-        return self.gen
+    # inf - inf between pads is nan, which compares False
+    with np.errstate(invalid="ignore"):
+        ends = np.diff(rows, axis=1) > epsilon
+        if scenario == "incomplete":
+            return np.count_nonzero(ends, axis=1)
+        if scenario == "complete":
+            return np.count_nonzero(ends & (rows[:, :-1] + epsilon <= length), axis=1)
+        index = np.arange(rows.shape[0])
+        first = rows[:, 0]
+        if scenario == "circle":
+            wrap = length - rows[index, np.maximum(counts - 1, 0)] + first
+            return np.where(counts > 0, np.count_nonzero(ends, axis=1) - 1 + (wrap > epsilon), 0)
+        if scenario == "coverage":
+            # end of each row's first cluster (no gap column: every row is empty)
+            reach = rows[index, ends.argmax(axis=1) if ends.shape[1] else 0] + epsilon
+            return ((first <= epsilon) & (reach - first >= length - first)).astype(np.intp)
+    raise ValueError(f"no row scan for scenario {scenario!r}")
 
 
-def _interval_run_counts(gen, scale, eps, length, block) -> tuple[int, int]:
-    """Complete and incomplete cluster counts of one replication.
-
-    Walks cumulative scaled exponential gaps exactly as sample_interval
-    plus decompose would: positions accumulate in draw order, splits
-    compare position differences, completeness compares run end + radius
-    against the domain end (bit-for-bit the same arithmetic).
-    """
-    pos = 0.0
-    run_last = -1.0
-    started = False
-    complete = 0
-    incomplete = 0
-    while True:
-        for g in gen.standard_exponential(block).tolist():
-            new = pos + g * scale
-            if new > length:
-                if started and run_last + eps <= length:
-                    complete += 1
-                return complete, incomplete
-            if not started or new - pos > eps:
-                if started and run_last + eps <= length:
-                    complete += 1
-                incomplete += 1
-                started = True
-            pos = new
-            run_last = new
-
-
-def _circle_count_fast(gen, mu, eps, length) -> int:
-    n = int(gen.poisson(mu))
-    if n == 0:
-        return 0
-    pos = np.sort(gen.random(n) * length).tolist()
-    count = 0
-    prev = pos[0]
-    for x in pos[1:]:
-        if x - prev > eps:
-            count += 1
-        prev = x
-    if length - pos[-1] + pos[0] > eps:
-        count += 1
-    return count
-
-
-def _coverage_outcome(gen, scale, eps, length, block) -> int:
-    """Exact coverage indicator without a fixed horizon: the first
-    cluster is walked draw by draw until it either closes or provably
-    reaches the far end (its span can only grow), so no truncation bias
-    enters."""
-    first = True
-    x1 = 0.0
-    pos = 0.0
-    while True:
-        for g in gen.standard_exponential(block).tolist():
-            new = pos + g * scale
-            if first:
-                if new > eps:
-                    return 0
-                x1 = new
-                first = False
-            elif new - pos > eps:
-                return 1 if (pos + eps) - x1 >= (length - x1) else 0
-            pos = new
-            if (pos + eps) - x1 >= (length - x1):
-                return 1
-
-
-def _cluster_span(gen, scale, eps, block=8) -> float:
-    """Span of one cluster: radius plus the distance from its first to
-    its last point. Single-point clusters return the radius exactly,
-    preserving the atom bit-for-bit."""
-    pos = 0.0
-    while True:
-        for g in gen.standard_exponential(block).tolist():
-            new = pos + g * scale
-            if new - pos > eps:
-                return eps + pos
-            pos = new
-
-
-def _cycle_sum(gen, scale, eps, order, block=8) -> float:
-    total = 0.0
-    for _ in range(order):
-        total += _cluster_span(gen, scale, eps, block)
-        total += float(gen.standard_exponential()) * scale
-    return total
-
-
-def _count_chunk(params, scenario, length, seed, reps, cycle_order):
+def _count_outcomes(params, scenario, length, seed, reps) -> dict[int, int]:
     lam, eps = params.intensity, params.radius
-    scale = 1.0 / lam
-    counts: Counter[int] = Counter()
-    values: list[float] = []
-    pool = _RngPool(seed)
-    if scenario in ("complete", "incomplete"):
-        mean_n = lam * length
-        block = max(8, int(mean_n + 4.0 * math.sqrt(mean_n + 1.0) + 4.0))
-        pick = 0 if scenario == "complete" else 1
-        for rep in range(reps):
-            counts[_interval_run_counts(pool.reset(rep), scale, eps, length, block)[pick]] += 1
-    elif scenario == "circle":
-        mu = lam * length
-        for rep in range(reps):
-            counts[_circle_count_fast(pool.reset(rep), mu, eps, length)] += 1
-    elif scenario == "coverage":
-        block = max(8, int(lam * length + 4.0 * math.sqrt(lam * length + 1.0)))
-        for rep in range(reps):
-            counts[_coverage_outcome(pool.reset(rep), scale, eps, length, block)] += 1
-    elif scenario == "b_law":
-        for rep in range(reps):
-            values.append(_cluster_span(pool.reset(rep), scale, eps))
-    else:  # u_law
-        for rep in range(reps):
-            values.append(_cycle_sum(pool.reset(rep), scale, eps, cycle_order))
-    return counts, values
+    # coverage reads the points up to max(L, eps): the first must lie within eps
+    horizon = max(length, eps) if scenario == "coverage" else length
+    mean = lam * horizon
+    tally: Counter[int] = Counter()
+    for gen, _, rows in _chunks(seed, reps, _rows_per_chunk(mean + 4.0 * math.sqrt(mean) + 1.0)):
+        counts, pos = _padded_rows(gen, rows, mean, horizon)
+        tally.update(dict(enumerate(np.bincount(scan_rows(scenario, counts, pos, eps, length)).tolist())))
+    return {n: c for n, c in sorted(tally.items()) if c}
+
+
+def _spans(gen: np.random.Generator, size: int, lam: float, eps: float) -> np.ndarray:
+    """Independent cluster spans: the radius plus a Geometric(e^{-lam eps}) - 1
+    count of in-cluster gaps, each Exp(lam) truncated to [0, eps] by inverse
+    CDF. A single-point cluster gives the radius exactly."""
+    gaps = gen.geometric(math.exp(-lam * eps), size=size) - 1
+    ends = np.cumsum(gaps)
+    starts = ends - gaps
+    total = int(ends[-1])
+    sums = np.zeros(size)
+    # gaps are drawn in blocks of the chunk budget, however long one cluster is
+    for first in range(0, total, _CHUNK_ELEMENTS):
+        last = min(first + _CHUNK_ELEMENTS, total)
+        lengths = np.log1p(gen.random(last - first) * math.expm1(-lam * eps))
+        lengths /= -lam
+        in_block = np.clip(ends, first, last) - np.clip(starts, first, last)
+        sums += np.bincount(np.repeat(np.arange(size), in_block), weights=lengths, minlength=size)
+    return eps + sums
+
+
+def _sample_laws(params, scenario, seed, reps, cycle_order) -> np.ndarray:
+    lam, eps = params.intensity, params.radius
+    cycles = cycle_order if scenario == "u_law" else 1
+    out = np.empty(reps)
+    for gen, start, rows in _chunks(seed, reps, _rows_per_chunk(cycles * math.exp(lam * eps))):
+        values = _spans(gen, rows * cycles, lam, eps)
+        if scenario == "u_law":
+            # a cycle is a span plus the Exp(lam) excess of the gap after it
+            values += gen.standard_exponential(rows * cycles) / lam
+            values = values.reshape(rows, cycles).sum(axis=1)
+        out[start:start + rows] = values
+    out.sort()
+    return out
 
 
 def estimate(
@@ -339,8 +309,9 @@ def estimate(
 
     Integer scenarios (complete, incomplete, circle, coverage) return an
     EmpiricalDistribution; the continuous ones (b_law, u_law) return the
-    sorted sample of spans / cycle sums for distribution tests. All
-    replications run in the calling thread; the parallelism hint changes
+    sorted sample of spans / cycle sums for distribution tests. The
+    replications are drawn chunk by chunk under stream v2 (see the module
+    docstring), all in the calling thread; the parallelism hint changes
     neither results nor thread count.
 
     Args:
@@ -363,7 +334,7 @@ def estimate(
     if key not in ("b_law", "u_law") and not (length > 0.0 and math.isfinite(length)):
         raise ValueError(f"length must be positive and finite, got {length}")
 
-    counts, values = _count_chunk(params, key, length, config.seed, config.replications, cycle_order)
     if key in ("b_law", "u_law"):
-        return np.sort(np.asarray(values, dtype=float))
-    return EmpiricalDistribution(counts=dict(sorted(counts.items())), total=config.replications)
+        return _sample_laws(params, key, config.seed, config.replications, cycle_order)
+    counts = _count_outcomes(params, key, length, config.seed, config.replications)
+    return EmpiricalDistribution(counts=counts, total=config.replications)

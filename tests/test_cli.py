@@ -159,6 +159,16 @@ def test_sweep_grid_endpoints_inclusive(capsys):
     assert lambdas == ["1", "1.5", "2"]
 
 
+def test_grid_endpoint_slack_is_relative():
+    # 0.5 / 1e-5 rounds to 49999.99999999999: an absolute slack of 1e-12
+    # would drop the endpoint
+    grid = _parse_grid("0:0.5:1e-5")
+    assert len(grid) == 50_001 and grid[-1] == 0.5
+    assert _parse_grid("0:1:0.3") == [0.0, 0.3, 0.6, 0.8999999999999999]
+    with pytest.raises(ValueError, match="points"):
+        _parse_grid("0:1:1e-5")  # 100 001 points with its endpoint
+
+
 def test_sweep_mean_peaks_at_unit_intensity():
     import csv
     import io

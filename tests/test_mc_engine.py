@@ -1,7 +1,9 @@
-"""Monte Carlo engine: exact decomposition semantics, substream
-determinism, and statistical sanity at moderate replication counts."""
+"""Monte Carlo engine: exact decomposition semantics, the chunk-keyed
+stream contract, bounded memory, and statistical sanity at moderate
+replication counts."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,11 +20,22 @@ from clusterline import (
     sample_circle,
     sample_interval,
 )
-from clusterline.mc_engine import _interval_run_counts, _circle_count_fast, _RngPool
+from clusterline import mc_engine
+from clusterline.mc_engine import scan_rows
 
 
 def make_sample(points, length):
     return PointSample(positions=np.asarray(points, dtype=float), domain_length=length)
+
+
+def padded(point_sets):
+    """(counts, rows) for scan_rows: one sorted point set per row, padded
+    on the right with inf, with at least one inf column."""
+    counts = np.array([len(s) for s in point_sets])
+    rows = np.full((len(point_sets), int(counts.max()) + 1), np.inf)
+    for row, s in zip(rows, point_sets):
+        row[: len(s)] = s
+    return counts, rows
 
 
 class TestSampleInterval:
@@ -173,27 +186,99 @@ class TestCoverageIndicator:
         assert coverage_indicator(make_sample([1.4, 1.9], 2.0), 1.0, length=2.0) is False
 
 
-class TestEstimate:
-    def test_fast_paths_match_reference_ops(self):
-        # the chunked engine must reproduce sample_interval + decompose
-        # (and the circle pair) bit for bit on shared substreams
-        p = ModelParams(1.0, 1.0)
-        pool = _RngPool(123)
-        for rep in range(2000):
-            fast = _interval_run_counts(pool.reset(rep), 1.0, 1.0, 4.0, 12)
-            d = decompose(sample_interval(p, 4.0, replication_rng(123, rep)), 1.0)
-            assert fast == (d.complete_count, d.incomplete_count)
-        for rep in range(2000):
-            fast = _circle_count_fast(pool.reset(rep), 4.0, 1.0, 4.0)
-            ref = circle_cluster_count(sample_circle(p, 4.0, replication_rng(123, rep)), 1.0)
-            assert fast == ref
+class TestScanRows:
+    def test_matches_reference_ops(self):
+        # the vectorised scan replays decompose, circle_cluster_count and
+        # coverage_indicator on the reference samplers' point sets
+        cases = [(ModelParams(1.0, 1.0), 4.0), (ModelParams(3.0, 0.5), 2.5), (ModelParams(0.7, 1.3), 0.6)]
+        for k, (p, length) in enumerate(cases):
+            eps = p.radius
+            horizon = max(length, eps)
+            line = [sample_interval(p, length, replication_rng(k, r)).positions for r in range(400)]
+            cover = [sample_interval(p, horizon, replication_rng(k, r)).positions for r in range(400)]
+            ring = [sample_circle(p, length, replication_rng(k, r)).positions for r in range(400)]
+            counts, rows = padded(line)
+            refs = [decompose(PointSample(s, length), eps) for s in line]
+            assert scan_rows("complete", counts, rows, eps, length).tolist() == [d.complete_count for d in refs]
+            assert scan_rows("incomplete", counts, rows, eps, length).tolist() == [d.incomplete_count for d in refs]
+            counts, rows = padded(ring)
+            ref = [circle_cluster_count(PointSample(s, length), eps) for s in ring]
+            assert scan_rows("circle", counts, rows, eps, length).tolist() == ref
+            counts, rows = padded(cover)
+            ref = [int(coverage_indicator(PointSample(s, horizon), eps, length=length)) for s in cover]
+            assert scan_rows("coverage", counts, rows, eps, length).tolist() == ref
 
-    def test_rng_pool_matches_fresh_generators(self):
-        pool = _RngPool(99)
-        for rep in (0, 1, 17, 2**40):
-            a = pool.reset(rep).standard_exponential(8)
-            b = replication_rng(99, rep).standard_exponential(8)
-            assert (a == b).all()
+    def test_hand_cases(self):
+        sets = [
+            [0.5, 1.5, 3.0],  # a gap exactly eps keeps the connection
+            [0.25, 3.0],  # last point + eps == L: complete
+            [],
+            [0.5, 1.25, 3.75],  # the wrap-around gap keeps the connection
+        ]
+        counts, rows = padded(sets)
+        assert scan_rows("incomplete", counts, rows, 1.0, 4.0).tolist() == [2, 2, 0, 2]
+        assert scan_rows("complete", counts, rows, 1.0, 4.0).tolist() == [2, 2, 0, 1]
+        assert scan_rows("circle", counts, rows, 1.0, 4.0).tolist() == [2, 2, 0, 1]
+        for s, d in zip(sets, (decompose(make_sample(s, 4.0), 1.0) for s in sets)):
+            assert scan_rows("complete", *padded([s]), 1.0, 4.0)[0] == d.complete_count
+        # coverage: last point + eps == L covers; with L < eps only the
+        # first point matters, and the horizon is eps, not L
+        cover = [[0.5, 1.0], [0.5, 0.75], [], [0.75], [1.0]]
+        counts, rows = padded(cover)
+        assert scan_rows("coverage", counts, rows, 1.0, 2.0).tolist() == [1, 0, 0, 0, 1]
+        assert scan_rows("coverage", counts, rows, 1.0, 0.5).tolist() == [1, 1, 0, 1, 1]
+        for s in cover:
+            for length in (2.0, 0.5):
+                expect = coverage_indicator(make_sample(s, max(length, 1.0)), 1.0, length=length)
+                assert scan_rows("coverage", *padded([s]), 1.0, length)[0] == expect
+
+    def test_vanishing_intensity_gives_empty_rows(self):
+        p = ModelParams(1e-12, 1.0)
+        config = SampleConfig(seed=4, replications=1_000)
+        for scenario, length in (("complete", 4.0), ("incomplete", 4.0), ("circle", 4.0), ("coverage", 2.0)):
+            assert estimate(p, scenario, length, config).counts == {0: 1_000}
+
+    def test_rejects_continuous_scenarios(self):
+        with pytest.raises(ValueError):
+            scan_rows("b_law", *padded([[0.5]]), 1.0, 4.0)
+
+
+class TestEstimate:
+    def test_stream_contract(self, monkeypatch):
+        # chunk c of seed s draws from Philox(key=(s << 64) | c): a Poisson
+        # count per row, then one row of uniforms per replication
+        monkeypatch.setattr(mc_engine, "_CHUNK_ELEMENTS", 64)
+        p, length, seed, reps = ModelParams(1.0, 1.0), 4.0, 2**63 + 5, 100
+        rows = mc_engine._rows_per_chunk(4.0 + 4.0 * 2.0 + 1.0)
+        assert 1 < rows < reps
+        outcomes = []
+        for chunk, start in enumerate(range(0, reps, rows)):
+            gen = np.random.Generator(np.random.Philox(key=(seed << 64) | chunk))
+            counts = gen.poisson(4.0, size=min(rows, reps - start))
+            draws = gen.random((counts.size, int(counts.max()) + 1)) * length
+            sets = [np.sort(row[:n]) for row, n in zip(draws, counts)]
+            outcomes += [decompose(PointSample(s, length), 1.0).complete_count for s in sets]
+        emp = estimate(p, "complete", length, SampleConfig(seed=seed, replications=reps))
+        assert emp.counts == {n: outcomes.count(n) for n in sorted(set(outcomes))}
+
+    @pytest.mark.parametrize(
+        "params,scenario,length,reps",
+        [(ModelParams(1.0, 1.0), "complete", 400.0, 1_500), (ModelParams(1.0, 6.0), "b_law", 1.0, 1_000)],
+    )
+    def test_peak_memory_is_bounded(self, params, scenario, length, reps):
+        # chunks keep about 2^16 doubles per array whatever the row width;
+        # one chunk holding every replication would need several times more
+        config = SampleConfig(seed=17, replications=reps)
+        estimate(params, scenario, length, SampleConfig(seed=0, replications=10))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = estimate(params, scenario, length, config)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - after < 4 * 2**20, f"peak {(peak - before) / 2**20:.1f} MB"
+        assert (out.total if scenario == "complete" else out.size) == reps
 
     def test_complete_counts_within_tolerance(self):
         from clusterline import IntervalModel, pmf_complete
