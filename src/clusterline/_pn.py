@@ -1,4 +1,4 @@
-"""Scalar and vectorized kernels for the complete-count probability profile.
+"""Kernels for the complete-count probability profile.
 
 ``count_prob(lam, eps, x, n)`` evaluates the probability that the interval
 [0, x] holds exactly n complete clusters:
@@ -12,6 +12,11 @@ Terms are cut off early once a rigorous bound on the remaining tail drops
 below 1e-18 of the running scale; within the documented double-precision
 regime this changes nothing, and it keeps tiny-radius limits (floor(x/eps)
 in the millions) affordable.
+
+``count_prob_steps`` solves the delay equation p_n'(x) = a [p_{n-1}(x - eps)
+- p_n(x - eps)], a = lam e^{-lam eps}, p_n = delta_{n0} on [0, eps], by the
+method of steps: on step j (x = eps (j + t), 0 <= t <= 1) each p_n is a
+polynomial in t, one integration of the last step's. Nothing cancels.
 """
 
 from __future__ import annotations
@@ -20,12 +25,20 @@ import math
 
 import numpy as np
 
+from .errors import CapacityError
+
 # Tolerance on floor(x/eps): at exact lattice multiples the extra term is
 # identically zero, so this only suppresses floating-point flicker.
 FLOOR_SLACK = 1e-12
 
 _TAIL_CUTOFF = 1e-18
 _LOG_UNDERFLOW = -760.0
+
+# Method of steps: coefficient m is at most (2 a eps)^m / m!, a eps <= 1/e, so
+# under 3e-29 past degree 24. Steps stop once P(N <= n_max) < 2^-60.
+_STEP_DEGREE = 24
+_STEP_TAIL = 2.0**-60
+STEP_TABLE_BUDGET = 1 << 19
 
 
 def floor_ratio(x: float, eps: float) -> int:
@@ -128,11 +141,55 @@ def count_prob_mp(lam: float, eps: float, x: float, n: int, dps: int) -> tuple[f
         return float(total), float(min(mass, cap))
 
 
+def count_prob_steps(lam: float, eps: float, xs, n_max: int) -> np.ndarray:
+    """p_0..p_{n_max} at xs by the method of steps, shape (n_max + 1, *xs.shape).
+
+    With v_i = (p_0..p_{n_max})(i eps), zero before step 0, the coefficient
+    of t^m on step j is G_m v_{j-m}, G_m = (a eps)^m / m! (S - I)^m with S
+    the shift from count n - 1 to n. Points past the first step where
+    sum_k p_k < 2^-60 read 0, as P(N(x) <= n_max) does not increase.
+
+    Raises:
+        CapacityError: For a point past STEP_TABLE_BUDGET / (n_max + 1) steps
+            when the profile has not fallen below 2^-60 by then.
+    """
+    xs = np.asarray(xs, dtype=float)
+    u, width, deg = xs.ravel() / eps, n_max + 1, _STEP_DEGREE
+    h = lam * math.exp(-lam * eps) * eps
+    diff = h * (np.eye(width, k=-1) - np.eye(width))
+    lags = [np.linalg.matrix_power(diff, m) / math.factorial(m) for m in range(deg + 1)]
+    step = np.maximum(np.floor(u), 0.0)  # nan stays nan
+    top, limit = np.nanmax(step, initial=0.0), STEP_TABLE_BUDGET // width
+    # p_0(x) >= e^{-lam x} (no point in [0, x]) and >= 1 - a x (p_0' >= -a): no stop
+    # by step `limit` if lam eps limit < 60 ln 2 or a eps limit < 1/2, so raise unbuilt
+    unreachable = lam * eps * limit < 60.0 * math.log(2.0) or h * limit < 0.5
+    steps = 0 if top > limit and unreachable else int(min(top, limit))
+    weights = np.concatenate(lags[::-1], axis=1)  # v_j = sum_m G_m v_{j-1-m}, oldest first
+    flat = np.zeros((deg + 1 + steps) * width)  # calloc: pages past the stop stay untouched
+    flat[deg * width] = 1.0
+    values, stop = flat.reshape(-1, width), np.inf
+    for j in range(1, steps + 1):
+        np.dot(weights, flat[(j - 1) * width : (j + deg) * width], out=values[deg + j])
+        if values[deg + j].sum() < _STEP_TAIL:
+            stop = j
+            break
+    if stop == np.inf and top > limit:
+        raise CapacityError(f"p_0..p_{n_max} at x = {top * eps:g} needs over {limit} steps of eps = {eps:g} (STEP_TABLE_BUDGET)")
+    beyond = step >= stop
+    index = np.where(beyond | np.isnan(step), 0.0, step).astype(np.intp)
+    t = np.clip(u - index, 0.0, 1.0)[:, None]
+    acc = np.zeros((u.size, width))
+    for m in range(deg, -1, -1):  # Horner's rule, one coefficient at a time
+        acc = acc * t + values[index + deg - m] @ lags[m].T
+    acc[beyond] = 0.0
+    return acc.T.reshape((width, *xs.shape))
+
+
 def count_prob_grid(lam: float, eps: float, xs: np.ndarray, n: int) -> np.ndarray:
     """Vectorized n-cluster probability profile over an array of lengths.
 
     Plain float64 accumulation (no fsum); intended for density grids and
-    CDF panel integration where 1e-12 accuracy is ample.
+    the tests' quadrature oracles, where 1e-12 accuracy is ample.
     """
     return _grid_eval(_count_prob_grid_impl, lam, eps, xs, n)
 

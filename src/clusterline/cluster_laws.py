@@ -7,6 +7,9 @@ one radius (clusters made of a single point) plus an absolutely continuous
 part expressed through the zero-cluster probability profile and its
 derivative. Cycle quantities (span plus the following exponential gap) have
 plain densities.
+
+The span and cycle-sum CDFs are finite sums of the method-of-steps profile
+p_n (_pn.count_prob_steps) by the renewal identities, with no quadrature.
 """
 
 from __future__ import annotations
@@ -17,8 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._pn import count_prob, count_prob_grid, count_prob_deriv_grid
-from .quadrature import PanelCdf
+from ._pn import count_prob, count_prob_deriv_grid, count_prob_grid, count_prob_steps
 
 # Exponent guard: above this, e^{(lam+s)eps} overflows and the transforms
 # switch to their stable rearrangement.
@@ -175,106 +177,36 @@ def cycle_sum_density(params: ModelParams, n: int, x: float) -> float:
     return max(0.0, lam * math.exp(-lam * eps) * value)
 
 
-def span_tail_rate(params: ModelParams) -> float:
-    """Exponential decay rate of the span law's tail.
-
-    The span transform has its dominant pole at minus the companion root
-    of t e^{-t eps} = lam e^{-lam eps} (the root other than lam itself;
-    at lam = 1/eps the two merge). Located by bracketed bisection.
+def cluster_length_cdf(params: ModelParams) -> Callable:
+    """CDF of the cluster span as a vectorized callable, with the atom's jump
+    at the radius: by the renewal identity, 1 - p0(x) + e^{-lam eps} p0(x - eps)
+    for x >= eps and 0 below. Raises CapacityError past the kernel's budget.
     """
     lam, eps = params.intensity, params.radius
-    a = lam * math.exp(-lam * eps)
-    peak = 1.0 / eps
-    if abs(lam * eps - 1.0) < 1e-9:
-        return lam
+    damp = math.exp(-lam * eps)
 
-    def g(t: float) -> float:
-        return t * math.exp(-t * eps) - a
+    def values(xs):
+        here, before = count_prob_steps(lam, eps, np.stack([xs, xs - eps]), 0)[0]
+        return np.where(xs >= eps, 1.0 - here + damp * before, 0.0)
 
-    if lam < peak:
-        lo, hi = peak, 2.0 * peak
-        while g(hi) > 0.0:
-            hi *= 2.0
-    else:
-        lo, hi = 1e-300, peak
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= 1e-12 * max(1.0, hi):
-            break
-        if (g(lo) <= 0.0) == (g(mid) <= 0.0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _cdf(values)
 
 
-def _span_tail_cut(params: ModelParams, floor_at: float = 0.0) -> float:
-    """Truncation point past which the span law carries ~e^{-36} mass."""
-    return max(floor_at, params.radius + 40.0 / (0.9 * span_tail_rate(params)))
-
-
-def cluster_length_cdf(params: ModelParams, x_max: float | None = None) -> Callable:
-    """CDF of the cluster span as a vectorized callable.
-
-    Right-continuous; jumps by the atom mass at the radius. The density is
-    integrated on panels split at lattice multiples of the radius, with the
-    truncation point chosen from the tail decay rate and extended until the
-    missing mass check passes explicitly (not assumed).
+def cycle_sum_cdf(params: ModelParams, n: int) -> Callable:
+    """CDF of the sum of n cycles as a vectorized callable (no atom): the n-th
+    cycle ends by x when [0, x] holds n complete clusters, so it is
+    1 - sum_{k<n} p_k(x). Raises CapacityError past the kernel's budget.
     """
-    lam, eps = params.intensity, params.radius
-    law = cluster_length_law(params)
-    cut = _span_tail_cut(params, floor_at=x_max or 0.0)
-    for _ in range(60):
-        lattice = [eps + k * eps for k in range(1, int(cut / eps) + 1)]
-        panel = PanelCdf(law.density, eps, cut, breakpoints=lattice)
-        missing = 1.0 - law.atom_mass - panel.total
-        if missing < 1e-12:
-            break
-        cut *= 1.5
-    else:
-        raise ArithmeticError(f"span tail mass failed to fall below 1e-12 (last {missing:.3e})")
-
-    def cdf(x):
-        scalar = np.isscalar(x)
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.where(xs >= eps, law.atom_mass, 0.0) + np.asarray(panel(xs))
-        out = np.clip(out, 0.0, 1.0)
-        return float(out[0]) if scalar else out
-
-    return cdf
-
-
-def cycle_sum_cdf(params: ModelParams, n: int, x_max: float | None = None) -> Callable:
-    """CDF of the sum of n cycles as a vectorized callable (no atom)."""
     if n < 1:
         raise ValueError(f"cycle count must be positive, got {n}")
     lam, eps = params.intensity, params.radius
-    a = lam * math.exp(-lam * eps)
+    return _cdf(lambda xs: 1.0 - count_prob_steps(lam, eps, xs, n - 1).sum(axis=0))
 
-    def density(x):
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros_like(xs)
-        inside = xs > eps
-        if inside.any():
-            out[inside] = a * count_prob_grid(lam, eps, xs[inside] - eps, n - 1)
-        return np.maximum(out, 0.0)
 
-    mean_cycle = mean_cluster_length(params) + 1.0 / lam
-    base_cut = (n + 1) * eps + n * mean_cycle + 40.0 / (0.9 * min(span_tail_rate(params), lam))
-    cut = max(base_cut, x_max or 0.0)
-    for _ in range(60):
-        lattice = [eps + k * eps for k in range(1, int(cut / eps) + 1)]
-        panel = PanelCdf(density, eps, cut, breakpoints=lattice)
-        if 1.0 - panel.total < 1e-12:
-            break
-        cut *= 1.5
-    else:
-        raise ArithmeticError("cycle-sum tail mass failed to fall below 1e-12")
-
+def _cdf(values: Callable[[np.ndarray], np.ndarray]) -> Callable:
     def cdf(x):
         scalar = np.isscalar(x)
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.clip(np.asarray(panel(xs)), 0.0, 1.0)
+        out = np.clip(values(np.atleast_1d(np.asarray(x, dtype=float))), 0.0, 1.0)
         return float(out[0]) if scalar else out
 
     return cdf

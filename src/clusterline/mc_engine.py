@@ -27,9 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cluster_laws import ModelParams
+from .errors import CapacityError
 
 _SEED_MASK = (1 << 64) - 1
 _CHUNK_ELEMENTS = 1 << 16  # doubles per chunk array
+# Expected in-cluster gap draws per b_law / u_law replication, cycles (e^{lam eps} - 1).
+MAX_GAPS_PER_REPLICATION = 1 << 24
 
 SCENARIOS = ("complete", "incomplete", "circle", "coverage", "b_law", "u_law")
 
@@ -325,6 +328,8 @@ def estimate(
         ValueError: On an unknown scenario, a cycle_order below 1 for
             u_law, or a non-finite or non-positive length for the
             scenarios that use it.
+        CapacityError: Before drawing, when a b_law or u_law replication
+            expects more than MAX_GAPS_PER_REPLICATION gap draws.
     """
     key = scenario.lower().replace("-", "_")
     if key not in SCENARIOS:
@@ -335,6 +340,10 @@ def estimate(
         raise ValueError(f"length must be positive and finite, got {length}")
 
     if key in ("b_law", "u_law"):
+        lam_eps = params.intensity * params.radius
+        # cycles (e^{lam eps} - 1) > bound, in logs as e^{lam eps} can overflow
+        if lam_eps > math.log1p(MAX_GAPS_PER_REPLICATION / (cycle_order if key == "u_law" else 1)):
+            raise CapacityError(f"{key} at lam*eps = {lam_eps:g} expects over {MAX_GAPS_PER_REPLICATION} gap draws per replication")
         return _sample_laws(params, key, config.seed, config.replications, cycle_order)
     counts = _count_outcomes(params, key, length, config.seed, config.replications)
     return EmpiricalDistribution(counts=counts, total=config.replications)

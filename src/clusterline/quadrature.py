@@ -1,10 +1,10 @@
-"""Adaptive panel quadrature and cumulative-distribution builders.
+"""Adaptive panel quadrature, which backs laplace-check, and PanelCdf.
 
-The scheme is bisection over panels with a fixed-order Gauss-Legendre rule
-per panel and a Richardson-style error estimate (whole panel against its two
-halves). Callers pass breakpoints where their integrands have derivative
-kinks (lattice multiples of the connection radius) so every panel stays
-smooth.
+Bisection over panels with a fixed-order Gauss-Legendre rule per panel and a
+Richardson-style error estimate (whole panel against its two halves). Callers
+pass breakpoints at their integrands' derivative kinks (lattice multiples of
+the radius) so every panel stays smooth. The span and cycle-sum CDFs are sums
+of p_n (cluster_laws); PanelCdf is kept for the tests' quadrature oracles.
 """
 
 from __future__ import annotations

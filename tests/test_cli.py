@@ -143,6 +143,12 @@ def test_simulate_rejects_infinite_length(capsys):
     assert "length" in capsys.readouterr().err
 
 
+def test_simulate_span_law_capacity_exits_one(capsys):
+    argv = "simulate --scenario b-law --lambda 800 --epsilon 1 --length 1 --samples 10"
+    assert main(argv.split()) == 1
+    assert "gap draws per replication" in capsys.readouterr().err
+
+
 def test_sweep_grid_point_cap(capsys):
     # one point over the cap is refused before any point is built
     assert main("sweep --curve mean --lambda 0:1:5e-6 --epsilon 1 --length 4".split()) == 1

@@ -1,13 +1,17 @@
-"""Cluster-geometry laws: closed transforms, the mixed span law, and the
-cycle-sum densities, validated against finite differences, quadrature, and
-their own transform identities."""
+"""Cluster-geometry laws: closed transforms, the mixed span law, the
+cycle-sum densities and the renewal CDFs with their method-of-steps kernel,
+validated against finite differences, quadrature, the 60-digit alternating
+sum and their own transform identities."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
 from clusterline import (
+    CapacityError,
+    IntervalModel,
     ModelParams,
     cluster_length_cdf,
     cluster_length_density_at,
@@ -19,9 +23,12 @@ from clusterline import (
     laplace_cycle_sum,
     mean_cluster_length,
     numeric_laplace,
+    pmf_complete,
     QuadratureSpec,
 )
+from clusterline._pn import count_prob_mp, count_prob_steps
 from clusterline.quadrature import integrate
+from oracles import cycle_sum_cdf_by_quadrature, span_cdf_by_quadrature
 
 E = math.e
 
@@ -196,7 +203,7 @@ class TestCycleSumDensity:
         # truncation from the tail decay rate: ~1e-10 mass left out, well
         # under the 1e-8 target and before kernel noise sets in
         p = ModelParams(1.0, 0.5)
-        from clusterline.cluster_laws import span_tail_rate
+        from oracles import span_tail_rate
 
         cut = 1.5 + 2 * (mean_cluster_length(p) + 1.0) + 23.0 / min(span_tail_rate(p), 1.0)
         lattice = [0.5 * k for k in range(1, int(cut / 0.5) + 1)]
@@ -254,3 +261,108 @@ class TestCdfBuilders:
         assert cdf(200.0) == pytest.approx(1.0, abs=1e-10)
         xs = np.linspace(0.5, 60.0, 500)
         assert np.all(np.diff(np.asarray(cdf(xs))) >= -1e-12)
+
+
+class TestStepsKernel:
+    """count_prob_steps against the 60-digit alternating sum, which shares
+    no code with it."""
+
+    @pytest.mark.parametrize("lam,eps", [(1.0, 1.0), (4.0, 1.0), (2.0, 3.0), (0.3, 1.0), (6.0, 0.5)])
+    def test_matches_sixty_digit_sum(self, lam, eps):
+        xs = eps * np.array([0.0, 0.4, 1.0, 1.5, 2.0, 7.3, 20.0, 80.0, 151.7, 300.0])
+        steps = count_prob_steps(lam, eps, xs, 3)
+        for i, x in enumerate(xs):
+            for n in range(4):
+                exact, _ = count_prob_mp(lam, eps, float(x), n, 60)
+                assert abs(steps[n, i] - exact) <= 1e-14, (x, n)
+
+    def test_shape_and_edges(self):
+        xs = np.array([[-np.inf, -1.0, 0.5], [np.nan, 1e6, np.inf]])
+        out = count_prob_steps(1.0, 1.0, xs, 1)
+        assert out.shape == (2, 2, 3)
+        assert out[0, 0].tolist() == [1.0, 1.0, 1.0] and out[1, 0].tolist() == [0.0, 0.0, 0.0]
+        assert np.isnan(out[:, 1, 0]).all()
+        assert out[:, 1, 1:].tolist() == [[0.0, 0.0], [0.0, 0.0]]
+
+    def test_query_past_the_step_budget_raises(self):
+        # 1e7 steps of eps = 1e-7, and p0(x) >= e^{-lam x} cannot reach 2^-60 by x = 1
+        with pytest.raises(CapacityError, match="STEP_TABLE_BUDGET"):
+            count_prob_steps(1.0, 1e-7, np.array([0.5, 1.0]), 0)
+        with pytest.raises(CapacityError):
+            cycle_sum_cdf(ModelParams(1.0, 1e-7), 2)(1.0)
+        # lam eps = 20: p0 >= 1 - a x keeps every step of the budget above 1/2
+        with pytest.raises(CapacityError):
+            cluster_length_cdf(ModelParams(20.0, 1.0))(np.inf)
+        # here the budget is built first: 32768 steps of p_0..p_15 end before
+        # P(N <= 15) falls below 2^-60
+        with pytest.raises(CapacityError, match="32768 steps"):
+            count_prob_steps(1.0, 2e-3, np.array([1e4]), 15)
+        # a point inside the budget still answers
+        assert count_prob_steps(1.0, 1e-7, np.array([0.01]), 0)[0, 0] == pytest.approx(math.exp(-0.01), rel=1e-5)
+
+
+RENEWAL_BANDS = [0.5, 1.0, 2.0, 4.0]
+
+
+class TestRenewalCdfs:
+    """The span and cycle-sum CDFs are finite sums of the method-of-steps
+    profile; the quadrature oracle integrates the alternating-sum densities
+    instead."""
+
+    @staticmethod
+    def grid(params):
+        # out to four mean cycles: beyond them the oracle's densities carry
+        # cancellation noise of the raw alternating sums (about 1e-9 at
+        # twelve mean cycles when lam eps = 4), while the kernel stays exact
+        mean_cycle = mean_cluster_length(params) + 1.0 / params.intensity
+        return np.linspace(0.0, params.radius + 4.0 * mean_cycle, 500)
+
+    @pytest.mark.parametrize("lam_eps", RENEWAL_BANDS)
+    @pytest.mark.parametrize("lam", [0.7, 2.0])
+    def test_span_cdf_matches_quadrature(self, lam_eps, lam):
+        p = ModelParams(lam, lam_eps / lam)
+        xs = self.grid(p)
+        assert np.max(np.abs(cluster_length_cdf(p)(xs) - span_cdf_by_quadrature(p)(xs))) <= 1e-12
+
+    @pytest.mark.parametrize("lam_eps", RENEWAL_BANDS)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_cycle_sum_cdf_matches_quadrature(self, lam_eps, n):
+        p = ModelParams(0.7, lam_eps / 0.7)
+        xs = self.grid(p)
+        assert np.max(np.abs(cycle_sum_cdf(p, n)(xs) - cycle_sum_cdf_by_quadrature(p, n)(xs))) <= 1e-12
+
+    def test_far_limits(self):
+        for p in (ModelParams(1.0, 1.0), ModelParams(3.0, 2.0)):
+            for cdf in (cluster_length_cdf(p), cycle_sum_cdf(p, 1), cycle_sum_cdf(p, 3)):
+                assert cdf(1e6) == 1.0
+                assert cdf(np.inf) == 1.0
+                assert cdf(-np.inf) == 0.0
+                assert cdf(np.array([-np.inf, np.inf])).tolist() == [0.0, 1.0]
+
+    def test_lam_eps_ten_is_fast_and_exact(self):
+        # the quadrature builders took about 95 s per span CDF here
+        lam, eps = 10.0, 1.0
+        p = ModelParams(lam, eps)
+        mean_span = mean_cluster_length(p)
+        mean_cycle = mean_span + 1.0 / lam
+        probe = np.linspace(0.0, eps + 4.0 * mean_cycle, 500)
+        start = time.perf_counter()
+        cdfs = {0: cluster_length_cdf(p), **{n: cycle_sum_cdf(p, n) for n in (1, 2, 3)}}
+        curves = [cdf(probe) for cdf in cdfs.values()]
+        assert time.perf_counter() - start < 2.0
+        for curve in curves:
+            assert np.all(np.diff(curve) >= -1e-12) and curve[0] == 0.0
+
+        def p_n(x, n):
+            if x <= 0.0:
+                return 1.0 if n == 0 else 0.0
+            return pmf_complete(IntervalModel(p, x), n)
+
+        for f in (0.25, 0.5, 1.0, 2.0, 4.0):
+            x = eps + f * mean_span
+            renewal = 1.0 - p_n(x, 0) + math.exp(-lam * eps) * p_n(x - eps, 0)
+            assert cdfs[0](x) == pytest.approx(renewal, abs=1e-9)
+            for n in (1, 2, 3):
+                x = eps + f * n * mean_cycle
+                renewal = 1.0 - math.fsum(p_n(x, k) for k in range(n))
+                assert cdfs[n](x) == pytest.approx(renewal, abs=1e-9)

@@ -35,8 +35,8 @@ from clusterline import (
     var_complete,
     var_critical_points,
 )
-from clusterline._pn import count_prob, floor_ratio
-from clusterline.quadrature import PanelCdf, integrate_adaptive
+from clusterline._pn import count_prob
+from oracles import coverage_by_quadrature
 
 E = math.e
 
@@ -214,29 +214,6 @@ def coverage_renewal_identity(lam, eps, length):
         return 1.0 if x <= 0 else count_prob(lam, eps, x, 0)[0]
 
     return p0(length) - math.exp(-lam * eps) * p0(length - eps)
-
-
-def coverage_by_quadrature(lam, eps, length):
-    """First-point quadrature: integrates lam e^{-lam x} P(span >= L - x)
-    over the first-point position x in [0, eps], with the span survival
-    taken from the span law's atom and its panel-integrated density."""
-    if length <= eps:
-        # span >= radius >= L - x for every x in [0, eps]: survival is 1
-        value, _, _ = integrate_adaptive(lambda xs: lam * np.exp(-lam * xs), 0.0, eps, abs_tol=1e-10)
-        return value
-    law = cl.cluster_length_law(ModelParams(lam, eps))
-    lattice = [eps + k * eps for k in range(1, floor_ratio(length, eps) + 1)]
-    partial = PanelCdf(law.density, eps, length, breakpoints=[t for t in lattice if t < length])
-
-    def integrand(xs):
-        t = length - xs
-        below = np.where(t > eps, law.atom_mass + np.asarray(partial(t), dtype=float), 0.0)
-        return lam * np.exp(-lam * xs) * (1.0 - below)
-
-    cuts = [length - k * eps for k in range(1, floor_ratio(length, eps) + 2)]
-    cuts = [c for c in cuts if 0.0 < c < eps]
-    value, _, _ = integrate_adaptive(integrand, 0.0, eps, abs_tol=1e-10, breakpoints=cuts)
-    return value
 
 
 COVERAGE_MODELS = [(1.0, 1.0, 2.0), (2.0, 1.0, 2.5), (0.5, 2.0, 5.0), (4.0, 1.0, 3.5), (1.3, 0.7, 3.1)]

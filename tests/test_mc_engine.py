@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from clusterline import (
+    CapacityError,
     ModelParams,
     PointSample,
     SampleConfig,
@@ -350,3 +351,36 @@ class TestEstimate:
         a = estimate(p, "b-law", 1.0, SampleConfig(seed=2, replications=500))
         b = estimate(p, "b_law", 1.0, SampleConfig(seed=2, replications=500))
         assert (a == b).all()
+
+
+class TestSpanLawCapacity:
+    """b_law / u_law cost about cycles (e^{lam eps} - 1) gap draws per
+    replication; past MAX_GAPS_PER_REPLICATION they raise before drawing."""
+
+    EDGE = math.log1p(mc_engine.MAX_GAPS_PER_REPLICATION)  # lam * eps at the bound, one cycle
+
+    def test_just_below_the_bound_draws(self):
+        spans = estimate(ModelParams(self.EDGE - 1e-3, 1.0), "b_law", 1.0, SampleConfig(seed=3, replications=1))
+        assert spans.size == 1 and spans[0] >= 1.0
+
+    @pytest.mark.parametrize("scenario", ["b_law", "u_law"])
+    def test_just_above_the_bound_raises(self, scenario, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew before the capacity check")
+
+        monkeypatch.setattr(mc_engine, "replication_rng", no_draws)
+        with pytest.raises(CapacityError, match="gap draws per replication"):
+            estimate(ModelParams(self.EDGE + 1e-3, 1.0), scenario, 1.0, SampleConfig(seed=3, replications=1))
+
+    def test_bound_counts_cycles(self):
+        # two cycles double the draws: half the single-cycle bound's e^{lam eps} - 1
+        lam = math.log1p(mc_engine.MAX_GAPS_PER_REPLICATION / 2) + 1e-3
+        estimate(ModelParams(lam, 1.0), "b_law", 1.0, SampleConfig(seed=3, replications=1))
+        with pytest.raises(CapacityError):
+            estimate(ModelParams(lam, 1.0), "u_law", 1.0, SampleConfig(seed=3, replications=1), cycle_order=2)
+
+    @pytest.mark.parametrize("scenario", ["b_law", "u_law"])
+    def test_overflowing_exponent_is_a_capacity_error(self, scenario):
+        # e^{800} overflows a double; the check must not
+        with pytest.raises(CapacityError):
+            estimate(ModelParams(800.0, 1.0), scenario, 1.0, SampleConfig(seed=3, replications=1))
