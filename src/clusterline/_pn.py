@@ -6,12 +6,14 @@
     p_n(x) = (1/n!) * sum_{i=0}^{floor(x/eps) - n}
              ((-1)^i / i!) * ((x - (n+i) eps) * lam * e^{-lam eps})^{n+i}
 
-The alternating sum is accumulated exactly with math.fsum, and the sum of
-absolute terms is returned alongside so callers can estimate cancellation.
-Terms are cut off early once a rigorous bound on the remaining tail drops
-below 1e-18 of the running scale; within the documented double-precision
-regime this changes nothing, and it keeps tiny-radius limits (floor(x/eps)
-in the millions) affordable.
+The series is written once, over a NumberSystem: DOUBLES accumulates the
+alternating sum exactly with math.fsum, and digits(dps) sums it in order in
+mpmath at dps digits, which count_prob_mp re-runs for the 30/60/120-digit
+escalation. Either pass returns the sum of absolute terms alongside so
+callers can estimate cancellation. Terms are cut off early once a rigorous
+bound on the remaining tail drops below 1e-18 (10^-(dps+20) at dps digits);
+within the documented double-precision regime this changes nothing, and it
+keeps tiny-radius limits (floor(x/eps) in the millions) affordable.
 
 ``count_prob_steps`` solves the delay equation p_n'(x) = a [p_{n-1}(x - eps)
 - p_n(x - eps)], a = lam e^{-lam eps}, p_n = delta_{n0} on [0, eps], by the
@@ -22,10 +24,14 @@ polynomial in t, one integration of the last step's. Nothing cancels.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
 from .errors import CapacityError
+from .special_fn import partial_exp_sum
 
 # Tolerance on floor(x/eps): at exact lattice multiples the extra term is
 # identically zero, so this only suppresses floating-point flicker.
@@ -56,6 +62,59 @@ def _initial_bound(c: float, n: int, inv_nfact: float) -> float:
         return math.inf
 
 
+@dataclass(frozen=True)
+class NumberSystem:
+    """What a count series computes in: doubles, or mpmath at some digits."""
+
+    num: Callable
+    exp: Callable
+    total: Callable  # math.fsum, or an in-order sum whose digits absorb the rounding
+    exp_partial: Callable  # sum_{j<=k} y^j / j!, compensated in doubles
+    isfinite: Callable
+    inv_fact: Callable  # i -> 1/i!
+    tail_cut: float  # the p_n sum stops once its tail bound is below this
+    working_mass: bool  # incomplete mass counts the partial sums' working magnitude
+
+
+def _inv_fact_table(one, far: Callable) -> Callable:
+    """i -> 1/i!, from a table up to 170 and from ``far`` past it."""
+    table = tuple(one / math.factorial(i) for i in range(171))
+    return lambda i: table[i] if i <= 170 else far(i)
+
+
+def _exp_partial_in_order(j_max: int, y):
+    """sum_{j=0}^{j_max} y^j / j!, summed in order."""
+    total = term = 1
+    for j in range(1, j_max + 1):
+        term *= y / j
+        total += term
+    return total
+
+
+_inv_fact_double = _inv_fact_table(1.0, lambda i: math.exp(-math.lgamma(i + 1)))
+# partial_exp_sum is looked up per call, so a traced run still sees the double pass call it
+DOUBLES = NumberSystem(
+    float, math.exp, math.fsum, lambda k, y: partial_exp_sum(k, y), math.isfinite, _inv_fact_double, _TAIL_CUTOFF, True
+)
+
+
+@lru_cache(maxsize=None)
+def digits(dps: int) -> NumberSystem:
+    """mpmath at ``dps`` significant digits, in a context of its own."""
+    import mpmath
+
+    ctx = mpmath.MPContext()
+    ctx.dps = dps
+    inv_fact = _inv_fact_table(ctx.mpf(1), lambda i: 1 / ctx.factorial(i))
+    cut = 10.0 ** -(dps + 20)
+    return NumberSystem(ctx.mpf, ctx.exp, sum, _exp_partial_in_order, ctx.isfinite, inv_fact, cut, False)
+
+
+def as_doubles(value, mass) -> tuple[float, float]:
+    """A digit pass's (value, mass) as doubles, the mass capped at 1e300."""
+    return float(value), float(min(mass, 1e300))
+
+
 def count_prob(lam: float, eps: float, x: float, n: int) -> tuple[float, float]:
     """Raw probability of n complete clusters on [0, x], plus |term| mass.
 
@@ -64,81 +123,51 @@ def count_prob(lam: float, eps: float, x: float, n: int) -> tuple[float, float]:
         abs_sum is the sum of absolute term magnitudes (for cancellation
         estimates). For x <= 0 the profile is 1 at n = 0 and 0 otherwise.
     """
-    if x <= 0.0:
-        one = 1.0 if n == 0 else 0.0
-        return one, one
-    i_max = floor_ratio(x, eps) - n
-    if i_max < 0:
-        return 0.0, 0.0
-    a = lam * math.exp(-lam * eps)
-    c = x * a  # upper bound on every term base
-    if n > 0:
-        # n! overflows float / gets slow as exact int for huge n; in that
-        # regime every term underflows anyway.
-        log_lead = n * math.log(c) - math.lgamma(n + 1) if c > 0 else _LOG_UNDERFLOW
-        if log_lead < _LOG_UNDERFLOW:
-            return 0.0, 0.0
-    inv_nfact = 1.0 / float(math.factorial(n)) if n <= 170 else math.exp(-math.lgamma(n + 1))
-    terms: list[float] = []
-    mags: list[float] = []
-    bound = _initial_bound(c, n, inv_nfact)
-    for i in range(i_max + 1):
-        k = n + i
-        b = (x - k * eps) * a
-        inv_ifact = 1.0 / float(math.factorial(i)) if i <= 170 else math.exp(-math.lgamma(i + 1))
-        try:
-            mag = (b**k if k > 0 else 1.0) * inv_nfact * inv_ifact
-        except OverflowError:
-            mag = math.inf  # far outside the stable regime; callers flag it
-        terms.append(-mag if i % 2 else mag)
-        mags.append(abs(mag))
-        if not math.isfinite(mag):
-            return math.nan, math.inf
-        if i >= 1:
-            bound *= c / i
-            if c < 0.5 * (i + 1) and bound < _TAIL_CUTOFF:
-                break
-    return math.fsum(terms), math.fsum(mags)
+    return _pn_sum(DOUBLES, lam, eps, x, n)
 
 
 def count_prob_mp(lam: float, eps: float, x: float, n: int, dps: int) -> tuple[float, float]:
-    """Extended-precision re-evaluation of count_prob at ``dps`` digits.
+    """count_prob's series re-evaluated at ``dps`` digits.
 
     Used as a fallback when the double-precision cancellation estimate is
-    too large; same term layout and early cutoff, evaluated with mpmath.
+    too large.
     """
-    import mpmath as mp
+    return as_doubles(*_pn_sum(digits(dps), lam, eps, x, n))
 
+
+def _pn_sum(ar: NumberSystem, lam: float, eps: float, x: float, n: int) -> tuple:
+    """The p_n series in the arithmetic ``ar``, with its sum of |term|."""
     if x <= 0.0:
         one = 1.0 if n == 0 else 0.0
         return one, one
     i_max = floor_ratio(x, eps) - n
     if i_max < 0:
         return 0.0, 0.0
-    with mp.workdps(dps):
-        lam_mp = mp.mpf(lam)
-        eps_mp = mp.mpf(eps)
-        x_mp = mp.mpf(x)
-        a = lam_mp * mp.exp(-lam_mp * eps_mp)
-        n_fact = mp.factorial(n)
-        total = mp.mpf(0)
-        mass = mp.mpf(0)
-        c = x * lam * math.exp(-lam * eps)
-        log_c = math.log(c) if c > 0 else -math.inf
-        log_bound = n * log_c - math.lgamma(n + 1)
-        log_cut = -(dps + 20) * math.log(10.0)
-        for i in range(i_max + 1):
-            k = n + i
-            b = (x_mp - k * eps_mp) * a
-            term = (b**k if k > 0 else mp.mpf(1)) / (n_fact * mp.factorial(i))
-            total += -term if i % 2 else term
-            mass += abs(term)
-            if i >= 1:
-                log_bound += log_c - math.log(i)
-                if c < 0.5 * (i + 1) and log_bound < log_cut:
-                    break
-        cap = mp.mpf("1e300")
-        return float(total), float(min(mass, cap))
+    lam_n, eps_n, x_n = ar.num(lam), ar.num(eps), ar.num(x)
+    a = lam_n * ar.exp(-lam_n * eps_n)
+    c = x * float(a)  # upper bound on every term base
+    if n > 0:
+        # for huge n every term underflows, and b**k could overflow before
+        # the inverse factorials bring it back.
+        log_lead = n * math.log(c) - math.lgamma(n + 1) if c > 0 else _LOG_UNDERFLOW
+        if log_lead < _LOG_UNDERFLOW:
+            return 0.0, 0.0
+    inv_nfact = ar.inv_fact(n)
+    terms = []
+    bound = _initial_bound(c, n, _inv_fact_double(n))
+    for i in range(i_max + 1):
+        k = n + i
+        b = (x_n - k * eps_n) * a
+        try:
+            mag = (b**k if k > 0 else 1.0) * inv_nfact * ar.inv_fact(i)
+        except OverflowError:
+            return math.nan, math.inf  # far outside the stable regime; callers flag it
+        terms.append(-mag if i % 2 else mag)
+        if i >= 1:
+            bound *= c / i
+            if c < 0.5 * (i + 1) and bound < ar.tail_cut:
+                break
+    return ar.total(terms), ar.total(map(abs, terms))
 
 
 def count_prob_steps(lam: float, eps: float, xs, n_max: int) -> np.ndarray:
@@ -185,16 +214,13 @@ def count_prob_steps(lam: float, eps: float, xs, n_max: int) -> np.ndarray:
     return acc.T.reshape((width, *xs.shape))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def count_prob_grid(lam: float, eps: float, xs: np.ndarray, n: int) -> np.ndarray:
     """Vectorized n-cluster probability profile over an array of lengths.
 
     Plain float64 accumulation (no fsum); intended for density grids and
     the tests' quadrature oracles, where 1e-12 accuracy is ample.
     """
-    return _grid_eval(_count_prob_grid_impl, lam, eps, xs, n)
-
-
-def _count_prob_grid_impl(lam: float, eps: float, xs: np.ndarray, n: int) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     out = np.zeros_like(xs)
     positive = xs > 0.0
@@ -206,7 +232,7 @@ def _count_prob_grid_impl(lam: float, eps: float, xs: np.ndarray, n: int) -> np.
     x_hi = float(xs[positive].max())
     i_hi = floor_ratio(x_hi, eps) - n
     c = x_hi * a
-    inv_nfact = 1.0 / float(math.factorial(n)) if n <= 170 else math.exp(-math.lgamma(n + 1))
+    inv_nfact = _inv_fact_double(n)
     bound = _initial_bound(c, n, inv_nfact)
     for i in range(max(i_hi, 0) + 1):
         k = n + i
@@ -215,7 +241,7 @@ def _count_prob_grid_impl(lam: float, eps: float, xs: np.ndarray, n: int) -> np.
         if not active.any():
             break
         b = (xs[active] - k * eps) * a
-        inv_ifact = 1.0 / float(math.factorial(i)) if i <= 170 else math.exp(-math.lgamma(i + 1))
+        inv_ifact = _inv_fact_double(i)
         term = (np.maximum(b, 0.0) ** k if k > 0 else np.ones_like(b)) * (inv_nfact * inv_ifact)
         out[active] += -term if i % 2 else term
         if i >= 1:
@@ -225,12 +251,9 @@ def _count_prob_grid_impl(lam: float, eps: float, xs: np.ndarray, n: int) -> np.
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def count_prob_deriv_grid(lam: float, eps: float, xs: np.ndarray, n: int) -> np.ndarray:
     """Vectorized derivative of the n-cluster probability profile."""
-    return _grid_eval(_count_prob_deriv_grid_impl, lam, eps, xs, n)
-
-
-def _count_prob_deriv_grid_impl(lam: float, eps: float, xs: np.ndarray, n: int) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     out = np.zeros_like(xs)
     positive = xs > 0.0
@@ -241,7 +264,7 @@ def _count_prob_deriv_grid_impl(lam: float, eps: float, xs: np.ndarray, n: int) 
     x_lo = float(xs[positive].min())
     i_hi = floor_ratio(x_hi, eps) - n
     c = x_hi * a
-    inv_nfact = 1.0 / float(math.factorial(n)) if n <= 170 else math.exp(-math.lgamma(n + 1))
+    inv_nfact = _inv_fact_double(n)
     bound = _initial_bound(c, n, inv_nfact)
     for i in range(max(i_hi, 0) + 1):
         k = n + i
@@ -251,7 +274,7 @@ def _count_prob_deriv_grid_impl(lam: float, eps: float, xs: np.ndarray, n: int) 
             if not active.any():
                 break
             b = np.maximum((xs[active] - k * eps) * a, 0.0)
-            inv_ifact = 1.0 / float(math.factorial(i)) if i <= 170 else math.exp(-math.lgamma(i + 1))
+            inv_ifact = _inv_fact_double(i)
             term = k * b ** (k - 1) * a * (inv_nfact * inv_ifact)
             out[active] += -term if i % 2 else term
         if i >= 1:
@@ -259,8 +282,3 @@ def _count_prob_deriv_grid_impl(lam: float, eps: float, xs: np.ndarray, n: int) 
             if c < 0.5 * (i + 1) and bound * 4.0 * (n + i + 1) < _TAIL_CUTOFF * x_lo:
                 break
     return out
-
-
-def _grid_eval(impl, lam, eps, xs, n):
-    with np.errstate(over="ignore", invalid="ignore"):
-        return impl(lam, eps, xs, n)

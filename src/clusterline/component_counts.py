@@ -5,12 +5,16 @@ clusters on [0, L], the full-coverage probability, the incomplete-cluster
 count (clusters touching the interval at all), and the cluster count on a
 circle of circumference L.
 
-All the pmf sums are alternating and are accumulated exactly with
-math.fsum while tracking the total absolute term mass; when the implied
-cancellation estimate exceeds 1e-9 a PrecisionWarning fires with the
-estimate attached and the returned value is clamped to [0, 1]. The
-documented double-precision validity regime is
-lam * L * e^{-lam*eps} <= 30 with floor(L/eps) <= 60.
+All the pmf sums are alternating. Each formula's series is one function
+of a NumberSystem (see _pn): the double pass sums it exactly with
+math.fsum, and when its cancellation estimate is too large the 30, 60 and
+120 digit passes re-run the same function in mpmath. Each pass's estimate
+divides by its own mass: the sum of |term|, except in the incomplete
+count's double pass, whose mass also counts what the G table's partial
+exponential sums push through the significand. When the deepest pass
+still exceeds 1e-9 a PrecisionWarning fires with the estimate attached;
+the value is clamped to [0, 1] either way. The documented double-precision
+validity regime is lam * L * e^{-lam*eps} <= 30 with floor(L/eps) <= 60.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ._pn import count_prob, count_prob_mp, floor_ratio
+from ._pn import DOUBLES, NumberSystem, as_doubles, count_prob, count_prob_mp, digits, floor_ratio
 from .cluster_laws import ModelParams
 from .errors import NormalizationError, PrecisionWarning
 from .special_fn import partial_exp_sum, stirling_row
@@ -53,13 +57,6 @@ class DistributionTable:
     support_max: int
     probs: tuple[float, ...]
     tail_mass: float
-
-
-def _fsum_pair(terms: list, mags: list) -> tuple[float, float]:
-    """Exact sums of terms and magnitudes; (nan, inf) on overflowed terms."""
-    if not all(map(math.isfinite, terms)):
-        return math.nan, math.inf
-    return math.fsum(terms), math.fsum(mags)
 
 
 def _finish_pmf(value: float, abs_sum: float, what: str, mp_eval=None, stacklevel: int = 3) -> float:
@@ -139,32 +136,44 @@ def pmf_incomplete(model: IntervalModel, n: int) -> float:
     if n > upper:
         return 0.0
 
-    values, masses = _incomplete_g_table(lam, eps, L, upper)
+    value, mass = _incomplete_sum(DOUBLES, lam, eps, L, n, upper)
+    return _finish_pmf(
+        value,
+        mass,
+        f"pmf_incomplete(n={n})",
+        mp_eval=lambda dps: _incomplete_mp(lam, eps, L, n, upper, dps),
+    )
+
+
+def _incomplete_mp(lam: float, eps: float, L: float, n: int, upper: int, dps: int) -> tuple[float, float]:
+    """pmf_incomplete's series re-evaluated at ``dps`` digits."""
+    return as_doubles(*_incomplete_sum(digits(dps), lam, eps, L, n, upper))
+
+
+def _incomplete_sum(ar: NumberSystem, lam: float, eps: float, L: float, n: int, upper: int) -> tuple:
+    """sum_{i=n}^{upper} (-1)^{i+n} C(i, n) (G(i-1) + G(i)), and its mass."""
+    table = _incomplete_g_table if ar is DOUBLES else _digit_g_table
+    values, masses = table(lam, eps, L, upper, ar)
     terms = []
     mags = []
     for i in range(n, upper + 1):
         comb = math.comb(i, n)
         t = comb * (values[i] + values[i + 1])  # slot i holds G(i-1)
         terms.append(-t if (i + n) % 2 else t)
-        mags.append(comb * (masses[i] + masses[i + 1]))
-    value = math.fsum(terms)
-    return _finish_pmf(
-        value,
-        math.fsum(mags),
-        f"pmf_incomplete(n={n})",
-        mp_eval=lambda dps: _incomplete_mp(lam, eps, L, n, upper, dps),
-    )
+        mags.append(comb * (masses[i] + masses[i + 1]) if masses else abs(t))
+    return ar.total(terms), ar.total(mags)
 
 
-@lru_cache(maxsize=128)
-def _incomplete_g_table(lam: float, eps: float, L: float, upper: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+def _g_table(lam: float, eps: float, L: float, upper: int, ar: NumberSystem) -> tuple:
     """Signed incomplete-count summands G(-1)..G(upper), index shifted by 1.
 
-    Alongside each value comes the magnitude its evaluation pushed through
-    the significand: the exponential partial sum cancels internally, so
-    its positive-argument twin measures the working mass.
+    With ``ar.working_mass``, alongside each value comes the magnitude its
+    evaluation pushed through the significand: the exponential partial sum
+    cancels internally, so its positive-argument twin measures the working
+    mass. Otherwise the masses are None and the series counts sum |term|.
     """
-    empty = math.exp(-lam * L)
+    lam_n, eps_n, len_n = ar.num(lam), ar.num(eps), ar.num(L)
+    empty = ar.exp(-lam_n * len_n)
     values = [empty]
     masses = [empty]
     for k in range(upper + 1):
@@ -172,53 +181,17 @@ def _incomplete_g_table(lam: float, eps: float, L: float, upper: int) -> tuple[t
             values.append(0.0)
             masses.append(0.0)
             continue
-        y = lam * (k * eps - L)
-        damp = math.exp(-k * lam * eps)
-        val = damp * partial_exp_sum(k, y) - empty
+        y = lam_n * (k * eps_n - len_n)
+        damp = ar.exp(-k * lam_n * eps_n)
+        val = damp * ar.exp_partial(k, y) - empty
         values.append(-val if k % 2 else val)
-        masses.append(damp * partial_exp_sum(k, abs(y)) + empty)
-    return tuple(values), tuple(masses)
+        if ar.working_mass:
+            masses.append(damp * ar.exp_partial(k, abs(y)) + empty)
+    return tuple(values), tuple(masses) if ar.working_mass else None
 
 
-@lru_cache(maxsize=16)
-def _incomplete_g_table_mp(lam: float, eps: float, L: float, upper: int, dps: int) -> tuple:
-    """Extended-precision twin of _incomplete_g_table (values only)."""
-    import mpmath as mp
-
-    with mp.workdps(dps):
-        lam_mp, eps_mp, len_mp = mp.mpf(lam), mp.mpf(eps), mp.mpf(L)
-        empty = mp.exp(-lam_mp * len_mp)
-        values = [empty]
-        for k in range(upper + 1):
-            if not L > k * eps:
-                values.append(mp.mpf(0))
-                continue
-            y = lam_mp * (k * eps_mp - len_mp)
-            partial = mp.mpf(1)
-            term = mp.mpf(1)
-            for j in range(1, k + 1):
-                term *= y / j
-                partial += term
-            val = mp.exp(-k * lam_mp * eps_mp) * partial - empty
-            values.append(-val if k % 2 else val)
-        return tuple(values)
-
-
-def _incomplete_mp(lam: float, eps: float, L: float, n: int, upper: int, dps: int) -> tuple[float, float]:
-    """Extended-precision re-evaluation of the incomplete-count pmf."""
-    import mpmath as mp
-
-    values = _incomplete_g_table_mp(lam, eps, L, upper, dps)
-    with mp.workdps(dps):
-        total = mp.mpf(0)
-        mass = mp.mpf(0)
-        for i in range(n, upper + 1):
-            t = math.comb(i, n) * (values[i] + values[i + 1])
-            signed = -t if (i + n) % 2 else t
-            total += signed
-            mass += abs(signed)
-        cap = mp.mpf("1e300")
-        return float(total), float(min(mass, cap))
+_incomplete_g_table = lru_cache(maxsize=128)(_g_table)
+_digit_g_table = lru_cache(maxsize=16)(_g_table)
 
 
 def pmf_circle(model: IntervalModel, n: int) -> float:
@@ -244,25 +217,7 @@ def pmf_circle(model: IntervalModel, n: int) -> float:
     i_max = floor_ratio(L, eps) - n
     if i_max < 0:
         return 0.0
-    a = lam * math.exp(-eps * lam)
-    prefactor = a / float(math.factorial(n)) if n <= 170 else a * math.exp(-math.lgamma(n + 1))
-    terms = []
-    mags = []
-    for i in range(i_max + 1):
-        k = n + i
-        if k == 0:
-            body = 1.0 / a  # algebraic limit of L b^{-1}: exactly 1 after prefactor
-        else:
-            b = (L - k * eps) * a
-            try:
-                body = b ** (k - 1) * L
-            except OverflowError:
-                body = math.inf
-        inv_ifact = 1.0 / float(math.factorial(i)) if i <= 170 else math.exp(-math.lgamma(i + 1))
-        t = prefactor * inv_ifact * body
-        terms.append(-t if i % 2 else t)
-        mags.append(abs(t))
-    value, mass = _fsum_pair(terms, mags)
+    value, mass = _circle_sum(DOUBLES, lam, eps, L, n, i_max)
     return _finish_pmf(
         value,
         mass,
@@ -272,27 +227,31 @@ def pmf_circle(model: IntervalModel, n: int) -> float:
 
 
 def _circle_mp(lam: float, eps: float, L: float, n: int, i_max: int, dps: int) -> tuple[float, float]:
-    """Extended-precision re-evaluation of the circle-count pmf."""
-    import mpmath as mp
+    """pmf_circle's series re-evaluated at ``dps`` digits."""
+    return as_doubles(*_circle_sum(digits(dps), lam, eps, L, n, i_max))
 
-    with mp.workdps(dps):
-        lam_mp, eps_mp, len_mp = mp.mpf(lam), mp.mpf(eps), mp.mpf(L)
-        a = lam_mp * mp.exp(-eps_mp * lam_mp)
-        prefactor = a / mp.factorial(n)
-        total = mp.mpf(0)
-        mass = mp.mpf(0)
-        for i in range(i_max + 1):
-            k = n + i
-            if k == 0:
-                body = 1 / a
-            else:
-                b = (len_mp - k * eps_mp) * a
-                body = b ** (k - 1) * len_mp
-            t = prefactor * body / mp.factorial(i)
-            total += -t if i % 2 else t
-            mass += abs(t)
-        cap = mp.mpf("1e300")
-        return float(total), float(min(mass, cap))
+
+def _circle_sum(ar: NumberSystem, lam: float, eps: float, L: float, n: int, i_max: int) -> tuple:
+    """pmf_circle's series and its sum of |term|; (nan, inf) on an overflowed term."""
+    lam_n, eps_n, len_n = ar.num(lam), ar.num(eps), ar.num(L)
+    a = lam_n * ar.exp(-eps_n * lam_n)
+    prefactor = a / ar.num(math.factorial(n)) if n <= 170 else a * ar.inv_fact(n)
+    terms = []
+    for i in range(i_max + 1):
+        k = n + i
+        if k == 0:
+            body = 1.0 / a  # algebraic limit of L b^{-1}: exactly 1 after prefactor
+        else:
+            b = (len_n - k * eps_n) * a
+            try:
+                body = b ** (k - 1) * len_n
+            except OverflowError:
+                return math.nan, math.inf
+        t = prefactor * ar.inv_fact(i) * body
+        terms.append(-t if i % 2 else t)
+    if not all(map(ar.isfinite, terms)):
+        return math.nan, math.inf
+    return ar.total(terms), ar.total(map(abs, terms))
 
 
 def _build_table(pmf, support_max: int, what: str) -> DistributionTable:
