@@ -11,9 +11,10 @@ alternating sum exactly with math.fsum, and digits(dps) sums it in order in
 mpmath at dps digits, which count_prob_mp re-runs for the 30/60/120-digit
 escalation. Either pass returns the sum of absolute terms alongside so
 callers can estimate cancellation. Terms are cut off early once a rigorous
-bound on the remaining tail drops below 1e-18 (10^-(dps+20) at dps digits);
-within the documented double-precision regime this changes nothing, and it
-keeps tiny-radius limits (floor(x/eps) in the millions) affordable.
+bound on the remaining tail drops below 1e-18 of the leading term
+(10^-(dps+20) of it at dps digits, and never below 1e-300); within the
+documented double-precision regime this changes nothing, and it keeps
+tiny-radius limits (floor(x/eps) in the millions) affordable.
 
 ``count_prob_steps`` solves the delay equation p_n'(x) = a [p_{n-1}(x - eps)
 - p_n(x - eps)], a = lam e^{-lam eps}, p_n = delta_{n0} on [0, eps], by the
@@ -72,7 +73,7 @@ class NumberSystem:
     exp_partial: Callable  # sum_{j<=k} y^j / j!, compensated in doubles
     isfinite: Callable
     inv_fact: Callable  # i -> 1/i!
-    tail_cut: float  # the p_n sum stops once its tail bound is below this
+    tail_cut: float  # the p_n sum stops once its tail bound is below this times its leading term
     working_mass: bool  # incomplete mass counts the partial sums' working magnitude
 
 
@@ -83,7 +84,9 @@ def _inv_fact_table(one, far: Callable) -> Callable:
 
 
 def _exp_partial_in_order(j_max: int, y):
-    """sum_{j=0}^{j_max} y^j / j!, summed in order."""
+    """sum_{j=0}^{j_max} y^j / j! in order: at dps digits compensation gains
+    no accuracy and makes a G table about 1.6 times slower.
+    """
     total = term = 1
     for j in range(1, j_max + 1):
         term *= y / j
@@ -106,8 +109,7 @@ def digits(dps: int) -> NumberSystem:
     ctx = mpmath.MPContext()
     ctx.dps = dps
     inv_fact = _inv_fact_table(ctx.mpf(1), lambda i: 1 / ctx.factorial(i))
-    cut = 10.0 ** -(dps + 20)
-    return NumberSystem(ctx.mpf, ctx.exp, sum, _exp_partial_in_order, ctx.isfinite, inv_fact, cut, False)
+    return NumberSystem(ctx.mpf, ctx.exp, sum, _exp_partial_in_order, ctx.isfinite, inv_fact, 10.0 ** -(dps + 20), False)
 
 
 def as_doubles(value, mass) -> tuple[float, float]:
@@ -127,11 +129,7 @@ def count_prob(lam: float, eps: float, x: float, n: int) -> tuple[float, float]:
 
 
 def count_prob_mp(lam: float, eps: float, x: float, n: int, dps: int) -> tuple[float, float]:
-    """count_prob's series re-evaluated at ``dps`` digits.
-
-    Used as a fallback when the double-precision cancellation estimate is
-    too large.
-    """
+    """count_prob's series re-run at ``dps`` digits, when the double pass cancels too much."""
     return as_doubles(*_pn_sum(digits(dps), lam, eps, x, n))
 
 
@@ -163,9 +161,11 @@ def _pn_sum(ar: NumberSystem, lam: float, eps: float, x: float, n: int) -> tuple
         except OverflowError:
             return math.nan, math.inf  # far outside the stable regime; callers flag it
         terms.append(-mag if i % 2 else mag)
-        if i >= 1:
+        if i == 0:
+            cut = max(ar.tail_cut * abs(float(mag)), 1e-300)  # relative to the leading term
+        else:
             bound *= c / i
-            if c < 0.5 * (i + 1) and bound < ar.tail_cut:
+            if c < 0.5 * (i + 1) and bound < cut:
                 break
     return ar.total(terms), ar.total(map(abs, terms))
 

@@ -5,16 +5,16 @@ clusters on [0, L], the full-coverage probability, the incomplete-cluster
 count (clusters touching the interval at all), and the cluster count on a
 circle of circumference L.
 
-All the pmf sums are alternating. Each formula's series is one function
-of a NumberSystem (see _pn): the double pass sums it exactly with
-math.fsum, and when its cancellation estimate is too large the 30, 60 and
-120 digit passes re-run the same function in mpmath. Each pass's estimate
-divides by its own mass: the sum of |term|, except in the incomplete
-count's double pass, whose mass also counts what the G table's partial
-exponential sums push through the significand. When the deepest pass
-still exceeds 1e-9 a PrecisionWarning fires with the estimate attached;
-the value is clamped to [0, 1] either way. The documented double-precision
-validity regime is lam * L * e^{-lam*eps} <= 30 with floor(L/eps) <= 60.
+Each pmf formula is one alternating series, written once over a
+NumberSystem (see _pn): the double pass sums it exactly with math.fsum,
+and the 30/60/120-digit passes re-run it in mpmath while its cancellation
+estimate, working epsilon * mass / |value|, is too large. The mass is the
+sum of |term|, except in the incomplete count's double pass, where it also
+counts what the G table's partial exponential sums push through the
+significand. When the deepest pass still exceeds 1e-9 a PrecisionWarning
+fires with the estimate attached; the value is clamped to [0, 1] either
+way. The documented double-precision validity regime is
+lam * L * e^{-lam*eps} <= 30 with floor(L/eps) <= 60.
 """
 
 from __future__ import annotations

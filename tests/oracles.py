@@ -10,7 +10,10 @@ None of them imports the kernel it checks:
   mass and widened until the missing mass is below 1e-12. They check the
   renewal CDFs, which sum the method-of-steps profile;
 - coverage_by_quadrature: first-point quadrature of the span survival. It
-  checks coverage_prob, which sums the scalar alternating-sum profile.
+  checks coverage_prob, which sums the scalar alternating-sum profile;
+- incomplete_by_convolution: the incomplete count by conditioning on the
+  last point, a quadrature of the method-of-steps profile. It checks the
+  incomplete-count series of partial exponential sums.
 """
 
 import math
@@ -18,7 +21,7 @@ import math
 import numpy as np
 
 from clusterline import ModelParams, cluster_length_law, mean_cluster_length
-from clusterline._pn import count_prob_grid, floor_ratio
+from clusterline._pn import count_prob_grid, count_prob_steps, floor_ratio
 from clusterline.quadrature import PanelCdf, integrate_adaptive
 
 
@@ -125,4 +128,25 @@ def coverage_by_quadrature(lam, eps, length):
     cuts = [length - k * eps for k in range(1, floor_ratio(length, eps) + 2)]
     cuts = [c for c in cuts if 0.0 < c < eps]
     value, _, _ = integrate_adaptive(integrand, 0.0, eps, abs_tol=1e-10, breakpoints=cuts)
+    return value
+
+
+def incomplete_by_convolution(lam, eps, length, n):
+    """P(n clusters touch [0, L]), by conditioning on the last point in [0, L].
+
+    q_n(L) = delta_{n0} e^{-lam L} + int_0^L lam e^{-lam r} p_{n-1}(L - r) dr:
+    with the last point at L - r, the clusters touching [0, L] are the
+    complete clusters of [0, L - r] and the one holding that point. The
+    profile has rows up to floor(L/eps), which sum to 1 on [0, L], so the
+    kernel's tail stop never fires; panels break at the kinks L - k eps.
+    """
+    if n == 0:
+        return math.exp(-lam * length)
+    n_max = max(floor_ratio(length, eps), n - 1)
+
+    def integrand(r):
+        return lam * np.exp(-lam * r) * count_prob_steps(lam, eps, length - r, n_max)[n - 1]
+
+    kinks = [length - k * eps for k in range(1, floor_ratio(length, eps) + 1)]
+    value, _, _ = integrate_adaptive(integrand, 0.0, length, abs_tol=1e-14, breakpoints=kinks)
     return value

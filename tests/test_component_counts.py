@@ -35,8 +35,8 @@ from clusterline import (
     var_complete,
     var_critical_points,
 )
-from clusterline._pn import count_prob
-from oracles import coverage_by_quadrature
+from clusterline._pn import count_prob, count_prob_mp
+from oracles import coverage_by_quadrature, incomplete_by_convolution
 
 E = math.e
 
@@ -114,6 +114,19 @@ class TestPmfCompleteTable:
         for n in range(9):
             poisson = math.exp(-2.0) * 2.0**n / math.factorial(n)
             assert table.probs[n] == pytest.approx(poisson, abs=1e-4)
+
+    @pytest.mark.parametrize("lam", [0.02, 0.03, 0.05, 0.1])
+    def test_printed_tail_rows_match_120_digits(self, lam):
+        # the tail cut is relative to the leading term; an absolute 1e-18
+        # cut printed wrong tail rows here, e.g. 4.11428991e-26 for the
+        # 120-digit 4.11499989e-26 at n = 16, lam = 0.02, L = 25
+        for length in (20.0, 25.0, 30.0, 35.0, 40.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", cl.PrecisionWarning)
+                probs = pmf_complete_table(IntervalModel(ModelParams(lam, 1.0), length)).probs
+            for n, p in enumerate(probs):
+                exact = min(1.0, max(0.0, count_prob_mp(lam, 1.0, length, n, 120)[0]))
+                assert format(p, ".9g") == format(exact, ".9g"), (length, n)
 
     def test_unstable_regime_raises(self):
         bad = IntervalModel(ModelParams(30.0, 0.01), 50.0)
@@ -302,6 +315,16 @@ class TestPmfIncomplete:
             assert mean == pytest.approx(
                 incomplete_mean_identity(lam, eps, model.length), abs=1e-9
             )
+
+    @pytest.mark.parametrize(
+        "lam,eps,length",
+        [(1.0, 1.0, 4.0), (0.7, 0.5, 3.3), (2.0, 1.0, 6.5), (1.5, 0.3, 2.9), (3.0, 0.5, 7.25)],
+    )
+    def test_matches_convolution_oracle(self, lam, eps, length):
+        # all but the first model decide some rows in a digit pass
+        table = pmf_incomplete_table(IntervalModel(ModelParams(lam, eps), length))
+        for n, p in enumerate(table.probs):
+            assert p == pytest.approx(incomplete_by_convolution(lam, eps, length, n), abs=1e-12)
 
     def test_dominates_complete_count(self):
         # every complete cluster is an incomplete cluster
