@@ -20,6 +20,11 @@ tiny-radius limits (floor(x/eps) in the millions) affordable.
 - p_n(x - eps)], a = lam e^{-lam eps}, p_n = delta_{n0} on [0, eps], by the
 method of steps: on step j (x = eps (j + t), 0 <= t <= 1) each p_n is a
 polynomial in t, one integration of the last step's. Nothing cancels.
+``count_prob_deriv_grid`` reads p_n' off the same equation, so the span
+CDF and its density share that one kernel. ``count_prob_grid`` sums the
+alternating series over an array in plain doubles; it backs the Laplace
+check, whose quadrature must stay independent of the kernel, and the tests'
+oracles.
 """
 
 from __future__ import annotations
@@ -251,34 +256,13 @@ def count_prob_grid(lam: float, eps: float, xs: np.ndarray, n: int) -> np.ndarra
     return out
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def count_prob_deriv_grid(lam: float, eps: float, xs: np.ndarray, n: int) -> np.ndarray:
-    """Vectorized derivative of the n-cluster probability profile."""
+    """p_n' at xs by the delay equation: a [p_{n-1}(x - eps) - p_n(x - eps)]
+    for x >= eps (the right derivative at lattice points), 0 below, on one
+    count_prob_steps call. Raises CapacityError as count_prob_steps does.
+    """
     xs = np.asarray(xs, dtype=float)
-    out = np.zeros_like(xs)
-    positive = xs > 0.0
-    if not positive.any():
-        return out
-    a = lam * math.exp(-lam * eps)
-    x_hi = float(xs[positive].max())
-    x_lo = float(xs[positive].min())
-    i_hi = floor_ratio(x_hi, eps) - n
-    c = x_hi * a
-    inv_nfact = _inv_fact_double(n)
-    bound = _initial_bound(c, n, inv_nfact)
-    for i in range(max(i_hi, 0) + 1):
-        k = n + i
-        if k >= 1:
-            slack = (k * eps) * (1.0 - FLOOR_SLACK)
-            active = positive & (xs >= slack)
-            if not active.any():
-                break
-            b = np.maximum((xs[active] - k * eps) * a, 0.0)
-            inv_ifact = _inv_fact_double(i)
-            term = k * b ** (k - 1) * a * (inv_nfact * inv_ifact)
-            out[active] += -term if i % 2 else term
-        if i >= 1:
-            bound *= c / i
-            if c < 0.5 * (i + 1) and bound * 4.0 * (n + i + 1) < _TAIL_CUTOFF * x_lo:
-                break
-    return out
+    lagged = count_prob_steps(lam, eps, xs - eps, n)
+    lower = lagged[n - 1] if n > 0 else 0.0
+    slope = lam * math.exp(-lam * eps) * (lower - lagged[n])
+    return np.where(xs >= eps * (1.0 - FLOOR_SLACK), slope, 0.0)

@@ -28,7 +28,9 @@ from .cluster_laws import (
     mean_cluster_length,
 )
 from .component_counts import (
+    DistributionTable,
     IntervalModel,
+    coverage_prob,
     coverage_report,
     mean_complete,
     moment_complete,
@@ -43,6 +45,13 @@ from .stats_compare import compare_continuous, compare_pmf
 
 SCHEMA_VERSION = "1"
 GRID_MAX_POINTS = 100_000
+# count tables by scenario (the pmf subcommand prints the complete one); the
+# builders are looked up per call, so a traced run still sees them called
+COUNT_TABLES = {
+    "complete": lambda model: pmf_complete_table(model),
+    "incomplete": lambda model: pmf_incomplete_table(model),
+    "circle": lambda model: pmf_circle_table(model),
+}
 
 
 def _fmt(value) -> str:
@@ -122,15 +131,10 @@ def _parse_int_list(text: str) -> list[int]:
     return [int(p) for p in text.split(",") if p != ""]
 
 
-def _cmd_table(args, which: str) -> None:
-    model = _model(args)
-    table = {
-        "pmf": pmf_complete_table,
-        "incomplete": pmf_incomplete_table,
-        "circle": pmf_circle_table,
-    }[which](model)
+def _cmd_table(args, command: str, scenario: str) -> None:
+    table = COUNT_TABLES[scenario](_model(args))
     rows = [{"n": n, "probability": p} for n, p in enumerate(table.probs)]
-    _emit(args, which, ["n", "probability"], rows)
+    _emit(args, command, ["n", "probability"], rows)
 
 
 def _cmd_moments(args) -> None:
@@ -191,12 +195,17 @@ def _scenario_key(text: str) -> str:
     return text.lower().replace("-", "_")
 
 
-def _cmd_simulate(args) -> None:
+def _sample(args):
+    """The seeded estimate simulate and compare open with: (params, scenario, order, result)."""
     params = ModelParams(args.lam, args.epsilon)
     config = SampleConfig(seed=args.seed, replications=args.samples, parallelism_hint=args.jobs)
     key = _scenario_key(args.scenario)
     order = int(args.n) if args.n else 1
-    result = estimate(params, key, args.length, config, cycle_order=order)
+    return params, key, order, estimate(params, key, args.length, config, cycle_order=order)
+
+
+def _cmd_simulate(args) -> None:
+    _, _, _, result = _sample(args)
     if isinstance(result, np.ndarray):
         rows = [{"index": i, "value": float(v)} for i, v in enumerate(result)]
         _emit(args, "simulate", ["index", "value"], rows)
@@ -214,29 +223,17 @@ def _cmd_simulate(args) -> None:
 
 
 def _cmd_compare(args) -> None:
-    params = ModelParams(args.lam, args.epsilon)
-    config = SampleConfig(seed=args.seed, replications=args.samples, parallelism_hint=args.jobs)
-    key = _scenario_key(args.scenario)
-    order = int(args.n) if args.n else 1
-    result = estimate(params, key, args.length, config, cycle_order=order)
+    params, key, order, result = _sample(args)
     model = IntervalModel(params, args.length)
     if key == "b_law":
         report = compare_continuous(result, cluster_length_cdf(params))
     elif key == "u_law":
         report = compare_continuous(result, cycle_sum_cdf(params, order))
-    else:
-        if key == "complete":
-            table = pmf_complete_table(model)
-        elif key == "incomplete":
-            table = pmf_incomplete_table(model)
-        elif key == "circle":
-            table = pmf_circle_table(model)
-        else:  # coverage
-            from .component_counts import DistributionTable, coverage_prob
-
-            cov = coverage_prob(model)
-            table = DistributionTable(support_max=1, probs=(1.0 - cov, cov), tail_mass=0.0)
-        report = compare_pmf(result, table)
+    elif key in COUNT_TABLES:
+        report = compare_pmf(result, COUNT_TABLES[key](model))
+    else:  # coverage
+        cov = coverage_prob(model)
+        report = compare_pmf(result, DistributionTable(support_max=1, probs=(1.0 - cov, cov), tail_mass=0.0))
 
     columns = [
         "outcome",
@@ -301,6 +298,14 @@ def _add_common(sub, *, length=False, fmt=True):
         sub.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
+def _add_sampling(sub, samples_help: str) -> None:
+    sub.add_argument("--scenario", required=True, help="complete|incomplete|circle|coverage|b-law|u-law")
+    sub.add_argument("--samples", type=int, default=100_000, help=samples_help)
+    sub.add_argument("--seed", type=int, default=0, help="run seed")
+    sub.add_argument("--jobs", type=int, default=1, help="parallelism hint (>= 1); changes neither results nor threads")
+    sub.add_argument("--n", default=None, help="cycle count for u-law")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="clusterline",
@@ -318,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Complete-cluster count distribution. Columns: n, probability.",
     )
     _add_common(sp, length=True)
-    sp.set_defaults(handler=lambda a: _cmd_table(a, "pmf"))
+    sp.set_defaults(handler=lambda a: _cmd_table(a, "pmf", "complete"))
 
     sp = subs.add_parser(
         "incomplete",
@@ -326,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Incomplete-cluster count distribution. Columns: n, probability.",
     )
     _add_common(sp, length=True)
-    sp.set_defaults(handler=lambda a: _cmd_table(a, "incomplete"))
+    sp.set_defaults(handler=lambda a: _cmd_table(a, "incomplete", "incomplete"))
 
     sp = subs.add_parser(
         "circle",
@@ -334,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Circle cluster-count distribution. Columns: n, probability.",
     )
     _add_common(sp, length=True)
-    sp.set_defaults(handler=lambda a: _cmd_table(a, "circle"))
+    sp.set_defaults(handler=lambda a: _cmd_table(a, "circle", "circle"))
 
     sp = subs.add_parser(
         "moments",
@@ -395,16 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_common(sp, length=True)
-    sp.add_argument("--scenario", required=True, help="complete|incomplete|circle|coverage|b-law|u-law")
-    sp.add_argument(
-        "--samples",
-        type=int,
-        default=100_000,
-        help="replication count; b-law/u-law print one row per sample",
-    )
-    sp.add_argument("--seed", type=int, default=0, help="run seed")
-    sp.add_argument("--jobs", type=int, default=1, help="parallelism hint (>= 1); changes neither results nor threads")
-    sp.add_argument("--n", default=None, help="cycle count for u-law")
+    _add_sampling(sp, "replication count; b-law/u-law print one row per sample")
     sp.set_defaults(handler=_cmd_simulate)
 
     sp = subs.add_parser(
@@ -417,11 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_common(sp, length=True)
-    sp.add_argument("--scenario", required=True, help="complete|incomplete|circle|coverage|b-law|u-law")
-    sp.add_argument("--samples", type=int, default=100_000, help="replication count")
-    sp.add_argument("--seed", type=int, default=0, help="run seed")
-    sp.add_argument("--jobs", type=int, default=1, help="parallelism hint (>= 1); changes neither results nor threads")
-    sp.add_argument("--n", default=None, help="cycle count for u-law")
+    _add_sampling(sp, "replication count")
     sp.set_defaults(handler=_cmd_compare)
 
     sp = subs.add_parser(

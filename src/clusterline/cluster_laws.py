@@ -9,7 +9,11 @@ derivative. Cycle quantities (span plus the following exponential gap) have
 plain densities.
 
 The span and cycle-sum CDFs are finite sums of the method-of-steps profile
-p_n (_pn.count_prob_steps) by the renewal identities, with no quadrature.
+p_n (_pn.count_prob_steps) by the renewal identities, with no quadrature,
+and the span density is the span CDF's derivative, with p0' from the delay
+equation on the same kernel. The transforms are written in the paper's
+variable c = lam e^{-(lam + s) eps}, which underflows where e^{(lam + s) eps}
+would overflow.
 """
 
 from __future__ import annotations
@@ -20,11 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._pn import count_prob, count_prob_deriv_grid, count_prob_grid, count_prob_steps
-
-# Exponent guard: above this, e^{(lam+s)eps} overflows and the transforms
-# switch to their stable rearrangement.
-_EXP_GUARD = 700.0
+from ._pn import count_prob, count_prob_deriv_grid, count_prob_steps
 
 
 @dataclass(frozen=True)
@@ -66,27 +66,21 @@ class MixedLaw:
 
 
 def laplace_cluster_length(params: ModelParams, s: float) -> float:
-    """Laplace transform of the cluster span at argument s >= 0.
-
-    Closed form (lam + s) / (lam + s e^{(lam+s) eps}); evaluated through
-    the rearrangement (lam + s) e^{-w} / (lam e^{-w} + s) with
-    w = (lam + s) eps so large arguments cannot overflow.
+    """Laplace transform of the cluster span at argument s >= 0:
+    (lam + s) e^{-(lam + s) eps} / (s + c), c = lam e^{-(lam + s) eps}.
     """
     if s < 0.0:
         raise ValueError(f"transform argument must be non-negative, got {s}")
     if s == 0.0:
         return 1.0
     lam, eps = params.intensity, params.radius
-    w = (lam + s) * eps
-    if w <= _EXP_GUARD:
-        return (lam + s) / (lam + s * math.exp(w))
-    damp = math.exp(-w)
-    return (lam + s) * damp / (lam * damp + s)
+    damp = math.exp(-(lam + s) * eps)  # underflows to 0 where e^{(lam + s) eps} would overflow
+    return (lam + s) * damp / (s + lam * damp)
 
 
 def laplace_cycle_length(params: ModelParams, s: float) -> float:
     """Laplace transform of one full cycle: cluster span plus the
-    exponential gap to the next cluster start.
+    exponential gap to the next cluster start, c / (s + c).
 
     Equals the span transform times lam / (lam + s) by independence of the
     span and the following gap.
@@ -95,12 +89,8 @@ def laplace_cycle_length(params: ModelParams, s: float) -> float:
         raise ValueError(f"transform argument must be non-negative, got {s}")
     if s == 0.0:
         return 1.0
-    lam, eps = params.intensity, params.radius
-    w = (lam + s) * eps
-    if w <= _EXP_GUARD:
-        return lam / (lam + s * math.exp(w))
-    damp = math.exp(-w)
-    return lam * damp / (lam * damp + s)
+    c = params.intensity * math.exp(-(params.intensity + s) * params.radius)
+    return c / (s + c)
 
 
 def laplace_cycle_sum(params: ModelParams, n: int, s: float) -> float:
@@ -128,25 +118,22 @@ def cluster_length_law(params: ModelParams) -> MixedLaw:
     Atom of mass e^{-lam*eps} at exactly one radius (single-point
     clusters), plus for x above the radius the density
 
-        lam e^{-lam eps} p0(x - eps) + e^{-lam eps} p0'(x - eps)
+        e^{-lam eps} p0'(x - eps) - p0'(x),
 
-    where p0 is the zero-cluster probability profile. The atom is forced
+    the derivative of the renewal CDF (cluster_length_cdf), with p0' from
+    the delay equation on the method-of-steps profile. The atom is forced
     by the jump of p0 from 0 to 1 at argument zero; without it the density
-    alone would integrate to 1 - e^{-lam*eps}.
+    alone would integrate to 1 - e^{-lam*eps}. Raises CapacityError past
+    the kernel's budget, as the CDF does.
     """
     lam, eps = params.intensity, params.radius
-    a = lam * math.exp(-lam * eps)
     damp = math.exp(-lam * eps)
 
     def density(x):
         scalar = np.isscalar(x)
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros_like(xs)
-        inside = xs > eps
-        if inside.any():
-            u = xs[inside] - eps
-            out[inside] = a * count_prob_grid(lam, eps, u, 0) + damp * count_prob_deriv_grid(lam, eps, u, 0)
-        out = np.maximum(out, 0.0)
+        here, before = count_prob_deriv_grid(lam, eps, np.stack([xs, xs - eps]), 0)
+        out = np.where(xs > eps, np.maximum(damp * before - here, 0.0), 0.0)
         return float(out[0]) if scalar else out
 
     return MixedLaw(

@@ -31,6 +31,8 @@ from .special_fn import partial_exp_sum, stirling_row
 
 _CANCEL_TOL = 1e-9
 _TABLE_TOL = 1e-9
+# above this sum of |term| even the 120-digit pass misses the 1e-13 absolute bound
+_HOPELESS_MASS = 1e-13 / 10.0 ** (1 - 120)
 COVERAGE_MISMATCH_TOL = 1e-6
 
 
@@ -59,31 +61,32 @@ class DistributionTable:
     tail_mass: float
 
 
-def _finish_pmf(value: float, abs_sum: float, what: str, mp_eval=None, stacklevel: int = 3) -> float:
+def _finish_pmf(value: float, abs_sum: float, what: str, mp_eval, stacklevel: int = 3) -> float:
     """Stabilize an alternating pmf sum, then clamp to [0, 1].
 
     The cancellation estimate is working-epsilon * sum|term| / |value|,
     where sum|term| counts every intermediate magnitude the evaluation
     pushed through the significand. When the double-precision pass cannot
     guarantee ~1e-13 absolute and ~1e-10 relative accuracy, the sum is
-    re-evaluated at escalating precision (30, 60, 120 digits). A
-    PrecisionWarning carrying the final estimate fires only if the
-    deepest pass still sits above the 1e-9 reliability threshold; the
-    value is clamped either way.
+    re-evaluated at escalating precision (30, 60, 120 digits), also when
+    the double pass is not finite; the ladder stops early once a pass's
+    sum|term| shows that no pass up to 120 digits can meet the absolute
+    bound. A PrecisionWarning carrying the final estimate fires only if the
+    last pass still sits above the 1e-9 reliability threshold; the value
+    is clamped either way.
     """
     eps_work = math.ulp(1.0)
     if math.isfinite(value) and math.isfinite(abs_sum):
         estimate = eps_work * abs_sum / max(abs(value), 1e-300)
     else:
         estimate = math.inf
-    if mp_eval is not None and math.isfinite(value):
-        if estimate > 1e-10 or eps_work * abs_sum > 1e-13:
-            for dps in (30, 60, 120):
-                value, abs_sum = mp_eval(dps)
-                eps_work = 10.0 ** (1 - dps)
-                estimate = eps_work * abs_sum / max(abs(value), 1e-300)
-                if estimate <= 1e-10 and eps_work * abs_sum <= 1e-13:
-                    break
+    if estimate > 1e-10 or eps_work * abs_sum > 1e-13:
+        for dps in (30, 60, 120):
+            value, abs_sum = mp_eval(dps)
+            eps_work = 10.0 ** (1 - dps)
+            estimate = eps_work * abs_sum / max(abs(value), 1e-300)
+            if (estimate <= 1e-10 and eps_work * abs_sum <= 1e-13) or abs_sum > _HOPELESS_MASS:
+                break
     if not math.isfinite(value) or estimate > _CANCEL_TOL:
         warnings.warn(
             PrecisionWarning(
@@ -261,6 +264,10 @@ def _build_table(pmf, support_max: int, what: str) -> DistributionTable:
     for n in range(support_max + 1):
         p = pmf(n)
         probs.append(p)
+        if not math.isfinite(p):  # the tail would be nan: say so now, not after the rest
+            raise NormalizationError(
+                f"{what} table entry {n} is not finite; model is outside the stable evaluation regime"
+            )
         cum += p
         # once the mass is exhausted the remaining entries are all zero
         zero_run = zero_run + 1 if p == 0.0 else 0

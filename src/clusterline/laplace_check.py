@@ -4,7 +4,11 @@ Every closed-form transform in the model has a partner here: an adaptive
 quadrature of e^{-s x} f(x) over a truncated range with an explicit tail
 bound added to the error budget. No numerical inversion happens anywhere;
 inversions exist in closed form and only the forward direction is checked,
-because numerical inversion is ill-conditioned and unnecessary.
+because numerical inversion is ill-conditioned and unnecessary. The count
+transforms are checked on the alternating-sum grid kernel, not on the
+method-of-steps kernel the span and cycle-sum laws use, so the check stays
+independent of them. The closed forms are written in the paper's variable
+c = lam e^{-(lam + s) eps}, which underflows instead of overflowing.
 """
 
 from __future__ import annotations
@@ -19,8 +23,6 @@ from .cluster_laws import ModelParams
 from .errors import QuadratureError
 from .quadrature import DEFAULT_MAX_REFINEMENTS, integrate_adaptive
 from .special_fn import polylog_neg
-
-_EXP_GUARD = 700.0
 
 
 @dataclass(frozen=True)
@@ -110,47 +112,31 @@ def numeric_laplace(
 
 def laplace_pmf_closed(params: ModelParams, n: int, s: float) -> float:
     """Closed-form transform (in the length variable) of the probability
-    of exactly n complete clusters.
+    of exactly n complete clusters: c^n / (s + c)^{n+1} with the paper's
+    c = lam e^{-(lam + s) eps}, which underflows to 0 instead of overflowing.
 
-    Value lam^n e^{(lam+s) eps} / (s e^{(lam+s) eps} + lam)^{n+1}. The
-    denominator exponent is n + 1; the quadrature grid in the tests is
-    what pins that against the n-exponent variant. Evaluated through the
-    overflow-free rearrangement lam^n e^{-n w} / (s + lam e^{-w})^{n+1}
-    with w = (lam + s) eps.
+    The denominator exponent is n + 1; the quadrature grid in the tests is
+    what pins that against the n-exponent variant.
     """
     if n < 0:
         raise ValueError(f"count must be non-negative, got {n}")
     if not s > 0.0:
         raise ValueError(f"transform argument must be positive, got {s}")
-    lam, eps = params.intensity, params.radius
-    w = (lam + s) * eps
-    if w <= _EXP_GUARD:
-        grown = math.exp(w)
-        return lam**n * grown / (s * grown + lam) ** (n + 1)
-    damp = math.exp(-w)
-    return lam**n * damp**n / (s + lam * damp) ** (n + 1)
+    c = params.intensity * math.exp(-(params.intensity + s) * params.radius)
+    return c**n / (s + c) ** (n + 1)
 
 
 def laplace_moment_closed(params: ModelParams, m: int, s: float) -> float:
     """Closed-form transform (in the length variable) of the m-th moment
-    of the complete-cluster count.
-
-    With alpha = (e^{lam eps}/lam) s e^{s eps}, the value is
-    alpha / (s (alpha + 1)) * Li_{-m}(1 / (alpha + 1)). For arguments
-    large enough that alpha overflows, the polylogarithm argument is 0
-    and the transform is exactly 0.
+    of the complete-cluster count: Li_{-m}(c / (s + c)) / (s + c) with
+    c = lam e^{-(lam + s) eps}.
     """
     if m < 1:
         raise ValueError(f"moment order must be positive, got {m}")
     if not s > 0.0:
         raise ValueError(f"transform argument must be positive, got {s}")
-    lam, eps = params.intensity, params.radius
-    w = (lam + s) * eps
-    if w > _EXP_GUARD:
-        return 0.0
-    alpha = (s / lam) * math.exp(w)
-    z = 1.0 / (alpha + 1.0)
-    return alpha / (s * (alpha + 1.0)) * polylog_neg(m, z)
+    c = params.intensity * math.exp(-(params.intensity + s) * params.radius)
+    return polylog_neg(m, c / (s + c)) / (s + c)
 
 
 def count_transform_residuals(

@@ -4,13 +4,19 @@ None of them imports the kernel it checks:
 
 - span_tail_rate: the span law's exponential tail rate, by bisection on the
   dominant pole of its transform;
+- span_density_by_series: the span density a [p0(x - eps) - e^{-lam eps}
+  p0(x - 2 eps)] on the alternating-sum grid kernel. It checks the span
+  law's density, the renewal CDF's derivative on the method-of-steps profile;
+- p_n_by_digits and span_density_by_digits: the alternating sum and the
+  renewal density at 80 digits in mpmath, sharing no code with the package;
 - span_cdf_by_quadrature and cycle_sum_cdf_by_quadrature: PanelCdf
-  quadrature of the span-law density (the alternating-sum grid kernels)
-  and of the cycle-sum density, cut where the tail rate leaves about e^{-36}
-  mass and widened until the missing mass is below 1e-12. They check the
-  renewal CDFs, which sum the method-of-steps profile;
-- coverage_by_quadrature: first-point quadrature of the span survival. It
-  checks coverage_prob, which sums the scalar alternating-sum profile;
+  quadrature of span_density_by_series and of the cycle-sum density (both
+  on the alternating-sum grid kernel), cut where the tail rate leaves about
+  e^{-36} mass and widened until the missing mass is below 1e-12. They check
+  the renewal CDFs, which sum the method-of-steps profile;
+- coverage_by_quadrature: first-point quadrature of the span survival,
+  integrating span_density_by_series. It checks coverage_prob, which sums
+  the scalar alternating-sum profile;
 - incomplete_by_convolution: the incomplete count by conditioning on the
   last point, a quadrature of the method-of-steps profile. It checks the
   incomplete-count series of partial exponential sums.
@@ -18,9 +24,10 @@ None of them imports the kernel it checks:
 
 import math
 
+import mpmath
 import numpy as np
 
-from clusterline import ModelParams, cluster_length_law, mean_cluster_length
+from clusterline import ModelParams, mean_cluster_length
 from clusterline._pn import count_prob_grid, count_prob_steps, floor_ratio
 from clusterline.quadrature import PanelCdf, integrate_adaptive
 
@@ -58,6 +65,53 @@ def span_tail_rate(params: ModelParams) -> float:
     return 0.5 * (lo + hi)
 
 
+def span_density_by_series(params: ModelParams):
+    """Span density a [p0(x - eps) - e^{-lam eps} p0(x - 2 eps) 1{x >= 2 eps}]
+    for x > eps, 0 below, a = lam e^{-lam eps}, on count_prob_grid."""
+    lam, eps = params.intensity, params.radius
+    damp = math.exp(-lam * eps)
+
+    def density(x):
+        xs = np.atleast_1d(np.asarray(x, dtype=float))
+        out = np.zeros_like(xs)
+        inside = xs > eps
+        if inside.any():
+            u = xs[inside] - eps
+            before = np.where(u >= eps, count_prob_grid(lam, eps, u - eps, 0), 0.0)
+            out[inside] = lam * damp * (count_prob_grid(lam, eps, u, 0) - damp * before)
+        return np.maximum(out, 0.0)
+
+    return density
+
+
+def p_n_by_digits(params: ModelParams, x, n: int = 0, dps: int = 80):
+    """p_n(x) = (1/n!) sum_i (-1)^i ((x - (n+i) eps) a)^{n+i} / i!, every
+    term kept, at dps digits in mpmath (an mpf)."""
+    ctx = mpmath.MPContext()
+    ctx.dps = dps
+    lam, eps, x = ctx.mpf(params.intensity), ctx.mpf(params.radius), ctx.mpf(x)
+    if x <= 0:
+        return ctx.mpf(1 if n == 0 else 0)
+    a = lam * ctx.exp(-lam * eps)
+    terms = (
+        (-1) ** i * ((x - (n + i) * eps) * a) ** (n + i) / ctx.factorial(i)
+        for i in range(int(ctx.floor(x / eps)) - n + 1)
+    )
+    return ctx.fsum(terms) / ctx.factorial(n)
+
+
+def span_density_by_digits(params: ModelParams, x: float, dps: int = 80):
+    """The span density at x by the renewal identity, every sum at dps digits (an mpf)."""
+    ctx = mpmath.MPContext()
+    ctx.dps = dps
+    lam, eps, x = ctx.mpf(params.intensity), ctx.mpf(params.radius), ctx.mpf(x)
+    if x <= eps:
+        return ctx.mpf(0)
+    damp = ctx.exp(-lam * eps)
+    before = p_n_by_digits(params, x - 2 * eps, dps=dps) if x >= 2 * eps else 0
+    return lam * damp * (p_n_by_digits(params, x - eps, dps=dps) - damp * before)
+
+
 def _panel_cdf(density, eps: float, cut: float, missing) -> PanelCdf:
     """PanelCdf of density on [eps, cut], split at the lattice multiples of
     eps, with cut widened by half until missing(panel) < 1e-12."""
@@ -81,12 +135,13 @@ def _vectorized(cdf_of):
 
 
 def span_cdf_by_quadrature(params: ModelParams):
-    """Span CDF: the atom at the radius plus the panel-integrated density."""
+    """Span CDF: the atom e^{-lam eps} at the radius plus the panel-integrated
+    span_density_by_series."""
     eps = params.radius
-    law = cluster_length_law(params)
+    atom = math.exp(-params.intensity * eps)
     cut = eps + 40.0 / (0.9 * span_tail_rate(params))
-    panel = _panel_cdf(law.density, eps, cut, lambda p: 1.0 - law.atom_mass - p.total)
-    return _vectorized(lambda xs: np.where(xs >= eps, law.atom_mass, 0.0) + np.asarray(panel(xs)))
+    panel = _panel_cdf(span_density_by_series(params), eps, cut, lambda p: 1.0 - atom - p.total)
+    return _vectorized(lambda xs: np.where(xs >= eps, atom, 0.0) + np.asarray(panel(xs)))
 
 
 def cycle_sum_cdf_by_quadrature(params: ModelParams, n: int):
@@ -111,18 +166,20 @@ def cycle_sum_cdf_by_quadrature(params: ModelParams, n: int):
 def coverage_by_quadrature(lam, eps, length):
     """First-point quadrature: integrates lam e^{-lam x} P(span >= L - x)
     over the first-point position x in [0, eps], with the span survival
-    taken from the span law's atom and its panel-integrated density."""
+    taken from the span law's atom and its panel-integrated density
+    (span_density_by_series)."""
     if length <= eps:
         # span >= radius >= L - x for every x in [0, eps]: survival is 1
         value, _, _ = integrate_adaptive(lambda xs: lam * np.exp(-lam * xs), 0.0, eps, abs_tol=1e-10)
         return value
-    law = cluster_length_law(ModelParams(lam, eps))
+    atom = math.exp(-lam * eps)
     lattice = [eps + k * eps for k in range(1, floor_ratio(length, eps) + 1)]
-    partial = PanelCdf(law.density, eps, length, breakpoints=[t for t in lattice if t < length])
+    density = span_density_by_series(ModelParams(lam, eps))
+    partial = PanelCdf(density, eps, length, breakpoints=[t for t in lattice if t < length])
 
     def integrand(xs):
         t = length - xs
-        below = np.where(t > eps, law.atom_mass + np.asarray(partial(t), dtype=float), 0.0)
+        below = np.where(t > eps, atom + np.asarray(partial(t), dtype=float), 0.0)
         return lam * np.exp(-lam * xs) * (1.0 - below)
 
     cuts = [length - k * eps for k in range(1, floor_ratio(length, eps) + 2)]

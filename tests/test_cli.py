@@ -1,18 +1,22 @@
 """End-to-end CLI checks: every subcommand against a golden fixture,
 byte-determinism of repeated invocations, and the exit-status contract."""
 
+import csv
 import json
 import os
 import platform
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import clusterline
+from clusterline import ModelParams, mean_cluster_length
 from clusterline.cli import GRID_MAX_POINTS, _parse_grid, main
+from oracles import span_density_by_digits
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -44,6 +48,25 @@ def test_golden_fixture(tmp_path, name, argv):
     out = tmp_path / name
     assert run_to_file(argv, out) == 0
     assert out.read_bytes() == (GOLDEN_DIR / name).read_bytes()
+
+
+def test_density_b_golden_prints_true_digits():
+    # each density row is the 80-digit renewal value rounded to 9 digits
+    p = ModelParams(1.0, 1.0)
+    xs = np.linspace(p.radius, p.radius + 10.0 * mean_cluster_length(p), 12)
+    with open(GOLDEN_DIR / "density_b.csv", newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row[0] == "density"]
+    assert [row[1] for row in rows] == [format(x, ".9g") for x in xs]
+    assert [row[2] for row in rows] == [format(float(span_density_by_digits(p, x)), ".9g") for x in xs]
+
+
+def test_density_past_the_step_budget_exits_one_promptly(capsys):
+    # lam eps = 20: the kernel cannot reach the grid's end within its budget
+    # and raises before it builds a step (2^19 steps take about 2 s)
+    start = time.perf_counter()
+    assert main("density --law B --lambda 1 --epsilon 20".split()) == 1
+    assert time.perf_counter() - start < 1.0
+    assert "STEP_TABLE_BUDGET" in capsys.readouterr().err
 
 
 def _openblas_dynamic_arch() -> bool:

@@ -28,7 +28,12 @@ from clusterline import (
 )
 from clusterline._pn import count_prob_mp, count_prob_steps
 from clusterline.quadrature import integrate
-from oracles import cycle_sum_cdf_by_quadrature, span_cdf_by_quadrature
+from oracles import (
+    cycle_sum_cdf_by_quadrature,
+    span_cdf_by_quadrature,
+    span_density_by_digits,
+    span_density_by_series,
+)
 
 E = math.e
 
@@ -366,3 +371,30 @@ class TestRenewalCdfs:
                 x = eps + f * n * mean_cycle
                 renewal = 1.0 - math.fsum(p_n(x, k) for k in range(n))
                 assert cdfs[n](x) == pytest.approx(renewal, abs=1e-9)
+
+
+class TestSpanDensity:
+    """The span density is the renewal CDF's derivative, with p0' from the
+    delay equation on the method-of-steps profile."""
+
+    @pytest.mark.parametrize("lam_eps", [0.5, 1.0, 2.0, 4.0, 6.0])
+    def test_matches_eighty_digits_to_ten_mean_spans(self, lam_eps):
+        # the alternating-sum route was off by 2.8e-6 (lam eps = 0.5) to
+        # 1.4e-8 relative on these grids
+        p = ModelParams(1.0, lam_eps)
+        xs = np.linspace(p.radius, p.radius + 10.0 * mean_cluster_length(p), 9)[1:]
+        for x, value in zip(xs, cluster_length_law(p).density(xs)):
+            true = float(span_density_by_digits(p, x))
+            assert abs(value - true) <= 5e-9 * true, x
+
+    @pytest.mark.parametrize("lam_eps", RENEWAL_BANDS)
+    @pytest.mark.parametrize("lam", [0.7, 2.0])
+    def test_matches_series_oracle(self, lam_eps, lam):
+        p = ModelParams(lam, lam_eps / lam)
+        xs = np.linspace(0.0, p.radius + 4.0 * mean_cluster_length(p), 500)
+        assert np.max(np.abs(cluster_length_law(p).density(xs) - span_density_by_series(p)(xs))) <= 1e-12
+
+    def test_infinite_argument_reads_zero(self):
+        p = ModelParams(1.0, 1.0)
+        assert cluster_length_law(p).density(np.inf) == 0.0
+        assert cluster_length_density_at(p, np.inf) == 0.0

@@ -36,7 +36,7 @@ from clusterline import (
     var_critical_points,
 )
 from clusterline._pn import count_prob, count_prob_mp
-from oracles import coverage_by_quadrature, incomplete_by_convolution
+from oracles import coverage_by_quadrature, incomplete_by_convolution, p_n_by_digits
 
 E = math.e
 
@@ -131,6 +131,31 @@ class TestPmfCompleteTable:
     def test_unstable_regime_raises(self):
         bad = IntervalModel(ModelParams(30.0, 0.01), 50.0)
         with pytest.raises((NormalizationError, ValueError)), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            pmf_complete_table(bad)
+
+    def test_non_finite_double_pass_escalates(self):
+        # a term of the double pass overflows at L = 500, so it returns nan;
+        # the digit passes decide the value instead
+        p = ModelParams(1.0, 1.0)
+        assert not math.isfinite(count_prob(1.0, 1.0, 500.0, 183)[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", cl.PrecisionWarning)
+            value = pmf_complete(IntervalModel(p, 500.0), 183)
+        assert value == pytest.approx(float(p_n_by_digits(p, 500.0, 183, dps=150)), rel=1e-12)
+
+    def test_hopeless_model_stops_after_one_digit_pass(self, monkeypatch):
+        # sum|term| is about e^{1111} here: no pass up to 120 digits can meet
+        # the 1e-13 absolute bound, so the ladder stops after 30 digits, the
+        # entry is nan and the table says so at its first entry
+        passes = []
+        digit_pass = cl.component_counts.count_prob_mp
+        monkeypatch.setattr(cl.component_counts, "count_prob_mp", lambda *a: passes.append(a[-1]) or digit_pass(*a))
+        bad = IntervalModel(ModelParams(30.0, 0.01), 50.0)
+        with pytest.warns(cl.PrecisionWarning):
+            assert math.isnan(pmf_complete(bad, 0))
+        assert passes == [30]
+        with pytest.raises(NormalizationError, match="entry 0 is not finite"), warnings.catch_warnings():
             warnings.simplefilter("ignore")
             pmf_complete_table(bad)
 

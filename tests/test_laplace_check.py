@@ -7,6 +7,7 @@ n variant misses by a wide margin.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -16,6 +17,8 @@ from clusterline import (
     QuadratureError,
     QuadratureSpec,
     count_transform_residuals,
+    laplace_cluster_length,
+    laplace_cycle_length,
     laplace_moment_closed,
     laplace_pmf_closed,
     mean_complete,
@@ -113,6 +116,49 @@ class TestCountProbTransform:
                     assert laplace_pmf_closed(ModelParams(lam, eps), n, s) == pytest.approx(
                         pair, rel=1e-12
                     )
+
+
+class TestTransformsInPaperVariable:
+    """Every closed transform is written through c = lam e^{-(lam + s) eps},
+    which underflows where e^{(lam + s) eps} would overflow."""
+
+    @staticmethod
+    def digits(lam, eps, s):
+        mp = mpmath.MPContext()
+        mp.dps = 50
+        lam, eps, s = mp.mpf(lam), mp.mpf(eps), mp.mpf(s)
+        damp = mp.exp(-(lam + s) * eps)
+        c = lam * damp
+        return {
+            "span": (lam + s) * damp / (s + c),
+            "cycle": c / (s + c),
+            **{f"n{n}": c**n / (s + c) ** (n + 1) for n in range(4)},
+            "moment1": mp.polylog(-1, c / (s + c)) / (s + c),
+        }
+
+    @staticmethod
+    def closed(lam, eps, s):
+        p = ModelParams(lam, eps)
+        return {
+            "span": laplace_cluster_length(p, s),
+            "cycle": laplace_cycle_length(p, s),
+            **{f"n{n}": laplace_pmf_closed(p, n, s) for n in range(4)},
+            "moment1": laplace_moment_closed(p, 1, s),
+        }
+
+    def test_count_transform_does_not_overflow(self):
+        # (s e^w + lam)^{n+1} overflowed here once (n + 1) w > 709
+        value = laplace_pmf_closed(ModelParams(1.0, 1.0), 3, 200.0)
+        assert value == pytest.approx(float(self.digits(1.0, 1.0, 200.0)["n3"]), rel=1e-13)
+
+    @pytest.mark.parametrize("lam,eps,s", [(1.0, 1.0, 700.5), (3.0, 100.0, 4.5), (1000.0, 0.7, 7.1), (0.5, 2.0, 400.0)])
+    def test_match_fifty_digits_past_the_exponent_range(self, lam, eps, s):
+        assert (lam + s) * eps > 700.0
+        exact = self.digits(lam, eps, s)
+        for name, value in self.closed(lam, eps, s).items():
+            true = float(exact[name])
+            assert math.isfinite(value)
+            assert abs(value - true) <= 1e-13 * abs(true) + 1e-300, name
 
 
 def curve_transform(params, s, curve, upper_cut):
