@@ -8,8 +8,10 @@ rejected) with a boolean ``correct``, integer ``attempted`` (> 0) and
 ``failed`` counts, and a ``metrics`` object. A traced run (``--trace 1``)
 must carry every per-layer metric that BENCHMARK.json declares, an
 untraced run every end-to-end metric, each as a finite number or as an
-object whose ``value`` is one. Exits 1 with one line per problem
-otherwise.
+object whose ``value`` is one. The report line above the result must be a
+JSON object whose ``report.edge.failed``, when the workload has edge probes,
+is 0: every probe answers or raises a typed error within its deadline.
+Exits 1 with one line per problem otherwise.
 """
 
 from __future__ import annotations
@@ -55,6 +57,18 @@ def problems(line: str, declared: dict) -> list[str]:
     return found
 
 
+def edge_problems(line: str) -> list[str]:
+    """Problems with the report line's edge probes; a workload without them has none."""
+    try:
+        report = json.loads(line, parse_constant=_reject_constant)["report"]
+    except (ValueError, TypeError, KeyError) as exc:
+        return [f"report line holds no report object: {exc!r}"]
+    edge = report.get("edge", {"failed": 0}) if isinstance(report, dict) else None
+    if not isinstance(edge, dict) or edge.get("failed") != 0:
+        return [f"edge probes did not all answer or raise a typed error in time: {edge!r}"]
+    return []
+
+
 def main(argv: list[str]) -> int:
     if len(argv) not in (2, 3):
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
@@ -65,7 +79,7 @@ def main(argv: list[str]) -> int:
     declared = {key: [m["name"] for m in bench[key]] for key in ("per_layer", "end_to_end")}
     with open(argv[1], encoding="utf-8") as fh:
         lines = [line for line in fh.read().splitlines() if line.strip()]
-    found = problems(lines[-1], declared) if lines else ["no output"]
+    found = problems(lines[-1], declared) + edge_problems(lines[-2]) if len(lines) >= 2 else ["no report and result lines"]
     for problem in found:
         print(f"{argv[1]}: {problem}", file=sys.stderr)
     return 1 if found else 0

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 from ._pn import DOUBLES, NumberSystem, as_doubles, count_prob, count_prob_mp, digits, floor_ratio
 from .cluster_laws import ModelParams
-from .errors import NormalizationError, PrecisionWarning
+from .errors import CapacityError, NormalizationError, PrecisionWarning
 from .special_fn import partial_exp_sum, stirling_row
 
 _CANCEL_TOL = 1e-9
@@ -34,6 +34,8 @@ _TABLE_TOL = 1e-9
 # above this sum of |term| even the 120-digit pass misses the 1e-13 absolute bound
 _HOPELESS_MASS = 1e-13 / 10.0 ** (1 - 120)
 COVERAGE_MISMATCH_TOL = 1e-6
+# the incomplete table's G table and outer sums are quadratic in its support
+INCOMPLETE_SUPPORT_BUDGET = 512
 
 
 @dataclass(frozen=True)
@@ -295,8 +297,19 @@ def pmf_complete_table(model: IntervalModel) -> DistributionTable:
 
 
 def pmf_incomplete_table(model: IntervalModel) -> DistributionTable:
-    """Full incomplete-count pmf for n = 0..floor(length / radius) + 1."""
+    """Full incomplete-count pmf for n = 0..floor(length / radius) + 1.
+
+    Raises:
+        CapacityError: Before any work, if floor(length / radius) + 1
+            exceeds INCOMPLETE_SUPPORT_BUDGET.
+        NormalizationError: As pmf_complete_table.
+    """
     support = floor_ratio(model.length, model.params.radius) + 1
+    if support > INCOMPLETE_SUPPORT_BUDGET:
+        raise CapacityError(
+            f"incomplete-count table support {support} exceeds INCOMPLETE_SUPPORT_BUDGET = {INCOMPLETE_SUPPORT_BUDGET}; "
+            "its cost is quadratic in the support"
+        )
     return _build_table(lambda n: pmf_incomplete(model, n), support, "incomplete-count")
 
 

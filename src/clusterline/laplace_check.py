@@ -21,7 +21,7 @@ import numpy as np
 
 from .cluster_laws import ModelParams
 from .errors import QuadratureError
-from .quadrature import DEFAULT_MAX_REFINEMENTS, integrate_adaptive
+from .quadrature import integrate_adaptive
 from .special_fn import polylog_neg
 
 
@@ -32,12 +32,10 @@ class QuadratureSpec:
     Attributes:
         abs_tol: Absolute tolerance on the integral.
         upper_cut: Truncation point of the half-line integral.
-        max_refinements: Panel-bisection budget.
     """
 
     abs_tol: float = 1e-10
     upper_cut: float = 80.0
-    max_refinements: int = DEFAULT_MAX_REFINEMENTS
 
     def __post_init__(self):
         if not self.abs_tol > 0.0:
@@ -104,7 +102,6 @@ def numeric_laplace(
         0.0,
         spec.upper_cut,
         abs_tol=panel_budget,
-        max_refinements=spec.max_refinements,
         breakpoints=breakpoints,
     )
     return value

@@ -1,10 +1,11 @@
 """Adaptive panel quadrature, which backs laplace-check, and PanelCdf.
 
-Bisection over panels with a fixed-order Gauss-Legendre rule per panel and a
-Richardson-style error estimate (whole panel against its two halves). Callers
-pass breakpoints at their integrands' derivative kinks (lattice multiples of
-the radius) so every panel stays smooth. The span and cycle-sum CDFs are sums
-of p_n (cluster_laws); PanelCdf is kept for the tests' quadrature oracles.
+One Gauss-Legendre rule integrates arrays of panels, calling the integrand
+on at most 4096 abscissae at a time. The adaptive scheme bisects level by
+level: one rule call gives every open panel's whole and both halves, whose
+difference is a Richardson-style error estimate. Callers pass breakpoints at
+their integrands' derivative kinks (lattice multiples of the radius) so every
+panel stays smooth. PanelCdf is kept for the tests' quadrature oracles.
 """
 
 from __future__ import annotations
@@ -17,17 +18,26 @@ from .errors import QuadratureError
 
 _GL_ORDER = 15
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
+_PANELS_PER_CALL = 4096 // _GL_ORDER  # at most 4096 integrand abscissae per call
+_MAX_DEPTH = 30
 
 DEFAULT_MAX_REFINEMENTS = 4000
 
 
-def _panel_integral(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> tuple[float, float]:
-    """Gauss-Legendre integral of f over [a, b]; returns (value, max|f|)."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    xs = mid + half * _GL_NODES
-    ys = np.asarray(f(xs), dtype=float)
-    return half * float(_GL_WEIGHTS @ ys), float(np.max(np.abs(ys)))
+def _panel_integral(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, float]:
+    """Gauss-Legendre integrals of f over the panels [lo[i], hi[i]], in
+    blocks of _PANELS_PER_CALL; returns them and max|f| over every node."""
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (lo + hi)
+    out = np.empty(half.shape)
+    sup_f = 0.0
+    for j in range(0, half.size, _PANELS_PER_CALL):
+        block = slice(j, j + _PANELS_PER_CALL)
+        nodes = mid[block, None] + half[block, None] * _GL_NODES
+        ys = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
+        out[block] = half[block] * (ys @ _GL_WEIGHTS)
+        sup_f = max(sup_f, float(np.max(np.abs(ys))))
+    return out, sup_f
 
 
 def integrate_adaptive(
@@ -59,60 +69,33 @@ def integrate_adaptive(
     if b <= a:
         return 0.0, 0.0, 0.0
     cuts = sorted({float(t) for t in breakpoints if a < t < b})
-    knots = [a, *cuts, b]
-    total_len = b - a
-
-    value = 0.0
-    err = 0.0
-    sup_f = 0.0
+    lo, hi = np.array([a, *cuts], dtype=float), np.array([*cuts, b], dtype=float)
+    value = err = sup_f = 0.0
     refinements = 0
-    # panels still to be accepted, with their bisection depth
-    stack: list[tuple[float, float, int]] = [
-        (knots[j], knots[j + 1], 0) for j in range(len(knots) - 1)
-    ]
-    max_depth = 30
-    while stack:
-        lo, hi, depth = stack.pop()
-        coarse, m1 = _panel_integral(f, lo, hi)
+    for depth in range(_MAX_DEPTH + 1):
         mid = 0.5 * (lo + hi)
-        left, m2 = _panel_integral(f, lo, mid)
-        right, m3 = _panel_integral(f, mid, hi)
-        sup_f = max(sup_f, m1, m2, m3)
+        ints, sup = _panel_integral(f, np.stack([lo, lo, mid], 1).ravel(), np.stack([hi, mid, hi], 1).ravel())
+        coarse, left, right = ints.reshape(-1, 3).T
+        sup_f = max(sup_f, sup)
         fine = left + right
-        panel_err = abs(fine - coarse)
-        panel_tol = abs_tol * (hi - lo) / total_len
+        panel_err = np.abs(fine - coarse)
         # the depth cap stops refinement from chasing floating-point noise
         # of the integrand; a capped panel contributes O(noise * width),
         # which stays inside the reported error estimate
-        if panel_err <= max(panel_tol, 1e-300) or depth >= max_depth:
-            value += fine
-            err += panel_err
-            continue
-        refinements += 1
+        split = ~(panel_err <= np.maximum(abs_tol * (hi - lo) / (b - a), 1e-300)) & (depth < _MAX_DEPTH)
+        value += float(np.sum(fine[~split]))
+        err += float(np.sum(panel_err[~split]))
+        refinements += int(np.count_nonzero(split))
         if refinements > max_refinements:
+            worst = float(np.max(panel_err[split]))
             raise QuadratureError(
-                f"refinement budget {max_refinements} exhausted; "
-                f"last panel error {panel_err:.3e} over [{lo}, {hi}]",
-                last_estimate=panel_err,
+                f"refinement budget {max_refinements} exhausted; worst open panel error {worst:.3e}",
+                last_estimate=worst,
             )
-        stack.append((lo, mid, depth + 1))
-        stack.append((mid, hi, depth + 1))
+        lo, hi = np.stack([lo[split], mid[split]], 1).ravel(), np.stack([mid[split], hi[split]], 1).ravel()
+        if not lo.size:
+            break
     return value, err, sup_f
-
-
-def integrate(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    abs_tol: float = 1e-10,
-    max_refinements: int = DEFAULT_MAX_REFINEMENTS,
-    breakpoints: Iterable[float] = (),
-) -> float:
-    """Convenience wrapper around integrate_adaptive returning the value."""
-    value, _, _ = integrate_adaptive(
-        f, a, b, abs_tol=abs_tol, max_refinements=max_refinements, breakpoints=breakpoints
-    )
-    return value
 
 
 class PanelCdf:
@@ -146,11 +129,7 @@ class PanelCdf:
                 np.linspace(segs[j], segs[j + 1], panels_per_segment + 1)[1:].tolist()
             )
         self.knots = np.asarray(knots)
-        half = 0.5 * np.diff(self.knots)
-        mid = 0.5 * (self.knots[:-1] + self.knots[1:])
-        nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-        vals = np.asarray(density(nodes.ravel()), dtype=float).reshape(nodes.shape)
-        panel_ints = half * (vals @ _GL_WEIGHTS)
+        panel_ints, _ = _panel_integral(density, self.knots[:-1], self.knots[1:])
         self._cum = np.concatenate([[0.0], np.cumsum(panel_ints)])
 
     @property
@@ -162,13 +141,7 @@ class PanelCdf:
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         xs_clip = np.clip(xs, self.lower, self.upper)
         idx = np.clip(np.searchsorted(self.knots, xs_clip, side="right") - 1, 0, len(self.knots) - 2)
-        lo = self.knots[idx]
-        half = 0.5 * (xs_clip - lo)
-        mid = lo + half
-        nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-        vals = np.asarray(self.density(nodes.ravel()), dtype=float).reshape(nodes.shape)
-        partial = half * (vals @ _GL_WEIGHTS)
-        out = self._cum[idx] + partial
+        out = self._cum[idx] + _panel_integral(self.density, self.knots[idx], xs_clip)[0]
         out[xs < self.lower] = 0.0
         out[xs > self.upper] = self.total
         return float(out[0]) if scalar else out

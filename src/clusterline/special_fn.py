@@ -2,9 +2,10 @@
 
 Stirling numbers of the second kind are kept as exact integers of arbitrary
 magnitude; they only become floats at the final multiply inside consumers.
-The negative-order polylogarithm is evaluated through its finite Stirling
-expansion, and partial exponential sums are accumulated with compensation
-because callers feed them negative arguments with heavy cancellation.
+The negative-order polylogarithm is its defining series for small arguments
+and its finite Stirling expansion elsewhere, and partial exponential sums
+are accumulated with compensation because callers feed them negative
+arguments with heavy cancellation.
 """
 
 from __future__ import annotations
@@ -90,10 +91,11 @@ def stirling2(m: int, k: int) -> int:
 def polylog_neg(m: int, z: float) -> float:
     """Polylogarithm of negative integer order, Li_{-m}(z), for z < 1.
 
-    Uses the finite expansion
+    For 0 < z <= 1/2 sums the defining series sum_{j>=1} j^m z^j until its
+    terms fall below 1e-17 of the sum. Elsewhere uses the finite expansion
     Li_{-m}(z) = sum_{k=0}^{m} (-1)^{m+k} k! S(m+1, k+1) / (1-z)^{k+1},
-    which agrees with the defining series sum_{j>=1} j^m z^j inside the
-    convergence region and analytically continues it elsewhere below 1.
+    which continues the series analytically below 1; its terms of order
+    (1-z)^{-k-1} cancel to about z, so it loses 1e-16/z relative near 0.
 
     Args:
         m: Positive integer order (negated).
@@ -109,7 +111,16 @@ def polylog_neg(m: int, z: float) -> float:
         raise ValueError(f"argument must satisfy z < 1, got {z}")
     if z == 0.0:
         return 0.0
-    row = stirling_row(m + 1)
+    row = stirling_row(m + 1)  # first, so the order bound holds for every z
+    if 0.0 < z <= 0.5:
+        # the terms rise to their peak, so none before it is under 1e-17 of the sum
+        terms = [z]
+        total = z
+        while terms[-1] > 1e-17 * total:
+            j = len(terms) + 1
+            terms.append(j**m * z**j)
+            total += terms[-1]
+        return math.fsum(terms)
     one_minus = 1.0 - z
     terms = []
     for k in range(m + 1):

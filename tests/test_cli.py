@@ -69,6 +69,14 @@ def test_density_past_the_step_budget_exits_one_promptly(capsys):
     assert "STEP_TABLE_BUDGET" in capsys.readouterr().err
 
 
+def test_incomplete_past_the_support_budget_exits_one_promptly(capsys):
+    # support 10001: the table's cost is quadratic in it, so it is refused up front
+    start = time.perf_counter()
+    assert main("incomplete --lambda 1 --epsilon 1e-4 --length 1".split()) == 1
+    assert time.perf_counter() - start < 1.0
+    assert "INCOMPLETE_SUPPORT_BUDGET" in capsys.readouterr().err
+
+
 def _openblas_dynamic_arch() -> bool:
     """True when numpy links an OpenBLAS that picks its kernel per CPU."""
     try:

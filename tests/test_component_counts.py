@@ -9,6 +9,7 @@ the span survival.
 """
 
 import math
+import time
 import warnings
 
 import numpy as np
@@ -17,6 +18,7 @@ from scipy import optimize
 
 import clusterline as cl
 from clusterline import (
+    CapacityError,
     IntervalModel,
     ModelParams,
     NormalizationError,
@@ -35,7 +37,7 @@ from clusterline import (
     var_complete,
     var_critical_points,
 )
-from clusterline._pn import count_prob, count_prob_mp
+from clusterline._pn import count_prob
 from oracles import coverage_by_quadrature, incomplete_by_convolution, p_n_by_digits
 
 E = math.e
@@ -125,7 +127,7 @@ class TestPmfCompleteTable:
                 warnings.simplefilter("error", cl.PrecisionWarning)
                 probs = pmf_complete_table(IntervalModel(ModelParams(lam, 1.0), length)).probs
             for n, p in enumerate(probs):
-                exact = min(1.0, max(0.0, count_prob_mp(lam, 1.0, length, n, 120)[0]))
+                exact = min(1.0, max(0.0, float(p_n_by_digits(ModelParams(lam, 1.0), length, n, dps=120))))
                 assert format(p, ".9g") == format(exact, ".9g"), (length, n)
 
     def test_unstable_regime_raises(self):
@@ -350,6 +352,15 @@ class TestPmfIncomplete:
         table = pmf_incomplete_table(IntervalModel(ModelParams(lam, eps), length))
         for n, p in enumerate(table.probs):
             assert p == pytest.approx(incomplete_by_convolution(lam, eps, length, n), abs=1e-12)
+
+    def test_support_past_the_budget_raises_before_any_work(self):
+        # support 10001: the G table alone is quadratic in it (over 10 minutes)
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match="INCOMPLETE_SUPPORT_BUDGET"):
+            pmf_incomplete_table(IntervalModel(ModelParams(1.0, 1e-4), 1.0))
+        assert time.perf_counter() - start < 1.0
+        with pytest.raises(CapacityError):
+            pmf_incomplete_table(IntervalModel(ModelParams(1.0, 1.0), 512.0))
 
     def test_dominates_complete_count(self):
         # every complete cluster is an incomplete cluster

@@ -6,6 +6,8 @@ n variant misses by a wide margin.
 """
 
 import math
+import time
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -99,6 +101,26 @@ class TestCountProbTransform:
             competing = lam**n * math.exp(w) / (s * math.exp(w) + lam) ** n
             assert abs(row["numeric"] - competing) > 1e-5
 
+    def test_off_lattice_model_fails_promptly(self):
+        # off the eps = 0.5 lattice the profile's cancellation noise fails
+        # the panel test wherever it is bisected, until the budget runs out
+        start = time.perf_counter()
+        with pytest.raises(QuadratureError, match="refinement budget"):
+            count_transform_residuals(ModelParams(2.0, 0.5005), range(4), (0.5, 1.0, 2.0))
+        assert time.perf_counter() - start < 2.0
+
+    def test_off_lattice_model_memory_is_bounded(self):
+        # its widest level holds about 8000 panels of 45 nodes (2.9 MB of
+        # abscissae); the rule evaluates them 4096 at a time
+        tracemalloc.start()
+        try:
+            with pytest.raises(QuadratureError):
+                count_transform_residuals(ModelParams(2.0, 0.5005), range(4), (0.5, 1.0, 2.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, f"peak {peak / 2**20:.2f} MB"
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             laplace_pmf_closed(ModelParams(1.0, 1.0), -1, 1.0)
@@ -150,6 +172,11 @@ class TestTransformsInPaperVariable:
         # (s e^w + lam)^{n+1} overflowed here once (n + 1) w > 709
         value = laplace_pmf_closed(ModelParams(1.0, 1.0), 3, 200.0)
         assert value == pytest.approx(float(self.digits(1.0, 1.0, 200.0)["n3"]), rel=1e-13)
+
+    def test_moment_transform_keeps_its_digits_at_small_argument(self):
+        # c / (s + c) = 2.7e-90 here, where the finite Stirling form rounds to 0.0
+        value = laplace_moment_closed(ModelParams(1.0, 1.0), 1, 200.0)
+        assert value == pytest.approx(float(self.digits(1.0, 1.0, 200.0)["moment1"]), rel=1e-13)
 
     @pytest.mark.parametrize("lam,eps,s", [(1.0, 1.0, 700.5), (3.0, 100.0, 4.5), (1000.0, 0.7, 7.1), (0.5, 2.0, 400.0)])
     def test_match_fifty_digits_past_the_exponent_range(self, lam, eps, s):

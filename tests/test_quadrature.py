@@ -8,36 +8,49 @@ import pytest
 from scipy import integrate as sci
 
 from clusterline import QuadratureError
-from clusterline.quadrature import PanelCdf, integrate, integrate_adaptive
+from clusterline.quadrature import PanelCdf, integrate_adaptive
 
 
 class TestIntegrateAdaptive:
     def test_exponential_closed_form(self):
-        value = integrate(lambda x: np.exp(-2.0 * x), 0.0, 40.0, abs_tol=1e-12)
+        value = integrate_adaptive(lambda x: np.exp(-2.0 * x), 0.0, 40.0, abs_tol=1e-12)[0]
         assert value == pytest.approx(0.5, abs=1e-12)
 
     def test_polynomial_exact(self):
-        value = integrate(lambda x: 3.0 * x**2, 0.0, 2.0)
+        value = integrate_adaptive(lambda x: 3.0 * x**2, 0.0, 2.0)[0]
         assert value == pytest.approx(8.0, abs=1e-12)
 
     def test_empty_interval(self):
-        assert integrate(lambda x: x, 1.0, 1.0) == 0.0
+        assert integrate_adaptive(lambda x: x, 1.0, 1.0)[0] == 0.0
 
     def test_kinked_integrand_with_breakpoints(self):
         f = lambda x: np.where(x < 1.0, x, 2.0 - x)  # tent, kink at 1
-        value = integrate(f, 0.0, 2.0, abs_tol=1e-12, breakpoints=[1.0])
+        value = integrate_adaptive(f, 0.0, 2.0, abs_tol=1e-12, breakpoints=[1.0])[0]
         assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_scipy_oracle(self):
         f = lambda x: np.exp(-x) * np.cos(3.0 * x) + 0.2 * x
-        mine = integrate(f, 0.0, 6.0, abs_tol=1e-11)
+        mine = integrate_adaptive(f, 0.0, 6.0, abs_tol=1e-11)[0]
         ref, _ = sci.quad(lambda x: math.exp(-x) * math.cos(3.0 * x) + 0.2 * x, 0.0, 6.0, epsabs=1e-13)
         assert mine == pytest.approx(ref, abs=1e-10)
 
     def test_budget_exhaustion(self):
         wild = lambda x: np.sin(1.0 / np.maximum(x, 1e-12))
         with pytest.raises(QuadratureError):
-            integrate(wild, 0.0, 1.0, abs_tol=1e-14, max_refinements=5)
+            integrate_adaptive(wild, 0.0, 1.0, abs_tol=1e-14, max_refinements=5)[0]
+
+    def test_integrand_calls_stay_within_the_chunk_bound(self):
+        sizes = []
+
+        def spy(x):
+            sizes.append(x.size)
+            return np.cos(x)
+
+        # 400 panels, each with both halves: one level of 18000 nodes
+        value = integrate_adaptive(spy, 0.0, 4.0, breakpoints=np.linspace(0.0, 4.0, 401))[0]
+        assert value == pytest.approx(math.sin(4.0), abs=1e-12)
+        assert sum(sizes) == 400 * 3 * 15
+        assert max(sizes) <= 4096
 
     def test_error_estimate_reported(self):
         _, err, sup = integrate_adaptive(lambda x: np.exp(-x), 0.0, 10.0, abs_tol=1e-10)

@@ -4,6 +4,7 @@ direct series summation."""
 
 import math
 
+import mpmath
 import pytest
 
 from clusterline import CapacityError, partial_exp_sum, polylog_neg, stirling2, stirling_row
@@ -123,6 +124,15 @@ class TestPolylogNeg:
     def test_series_agreement_grid(self, m, z):
         reference = polylog_series(m, z, terms=600)
         assert polylog_neg(m, z) == pytest.approx(reference, rel=1e-10)
+
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    @pytest.mark.parametrize("z", [1e-20, 1e-12, 1e-6, 1e-3, 0.01, 0.1, 0.3, 0.5])
+    def test_small_argument_matches_mpmath(self, m, z):
+        # the finite expansion cancels to about z (1.3e-4 relative at
+        # z = 1e-12, 100% at z = 1e-20), so small z must take the series
+        with mpmath.workdps(50):
+            reference = float(mpmath.polylog(-m, mpmath.mpf(z)))
+        assert polylog_neg(m, z) == pytest.approx(reference, rel=1e-15, abs=0.0)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
