@@ -5,7 +5,14 @@ connected clusters formed by points of a Poisson process on an interval or
 a circle, where points link whenever their gap is at most a fixed radius;
 plus the Monte Carlo engine and statistical comparators that validate every
 formula against simulation.
+
+The quadrature check, the Monte Carlo engine and the comparators compute on
+numpy arrays; their names load with their modules on first access, and the
+array kernels behind the span and cycle-sum laws import numpy when called,
+so importing the package, or evaluating the count laws, loads no numpy.
 """
+
+import importlib
 
 from .cluster_laws import (
     MixedLaw,
@@ -40,31 +47,55 @@ from .component_counts import (
     var_critical_points,
 )
 from .errors import CapacityError, NormalizationError, PrecisionWarning, QuadratureError
-from .laplace_check import (
-    QuadratureSpec,
-    count_transform_residuals,
-    laplace_moment_closed,
-    laplace_pmf_closed,
-    numeric_laplace,
-    spec_for_count_transform,
-)
-from .mc_engine import (
-    ClusterDecomposition,
-    EmpiricalDistribution,
-    PointSample,
-    SampleConfig,
-    circle_cluster_count,
-    coverage_indicator,
-    decompose,
-    estimate,
-    replication_rng,
-    sample_circle,
-    sample_interval,
-)
 from .special_fn import StirlingRow, partial_exp_sum, polylog_neg, stirling2, stirling_row
-from .stats_compare import ComparisonReport, OutcomeScore, compare_continuous, compare_pmf
 
 __version__ = "0.1.0"
+
+# name -> the numpy-backed module that defines it, imported on first access
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "QuadratureSpec",
+            "count_transform_residuals",
+            "laplace_moment_closed",
+            "laplace_pmf_closed",
+            "numeric_laplace",
+            "spec_for_count_transform",
+        ),
+        "laplace_check",
+    ),
+    **dict.fromkeys(
+        (
+            "ClusterDecomposition",
+            "EmpiricalDistribution",
+            "PointSample",
+            "SampleConfig",
+            "circle_cluster_count",
+            "coverage_indicator",
+            "decompose",
+            "estimate",
+            "replication_rng",
+            "sample_circle",
+            "sample_interval",
+        ),
+        "mc_engine",
+    ),
+    **dict.fromkeys(("ComparisonReport", "OutcomeScore", "compare_continuous", "compare_pmf"), "stats_compare"),
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __all__ = [
     "CapacityError",

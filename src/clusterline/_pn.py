@@ -25,6 +25,9 @@ CDF and its density share that one kernel. ``count_prob_grid`` sums the
 alternating series over an array in plain doubles; it backs the Laplace
 check, whose quadrature must stay independent of the kernel, and the tests'
 oracles.
+
+The scalar series needs only math (and mpmath for digit passes); the three
+array kernels import numpy when called, so the scalar path runs without it.
 """
 
 from __future__ import annotations
@@ -32,12 +35,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .errors import CapacityError
 from .special_fn import partial_exp_sum
+
+if TYPE_CHECKING:  # the array kernels import numpy when called
+    import numpy as np
 
 # Tolerance on floor(x/eps): at exact lattice multiples the extra term is
 # identically zero, so this only suppresses floating-point flicker.
@@ -187,6 +191,8 @@ def count_prob_steps(lam: float, eps: float, xs, n_max: int) -> np.ndarray:
         CapacityError: For a point past STEP_TABLE_BUDGET / (n_max + 1) steps
             when the profile has not fallen below 2^-60 by then.
     """
+    import numpy as np
+
     xs = np.asarray(xs, dtype=float)
     u, width, deg = xs.ravel() / eps, n_max + 1, _STEP_DEGREE
     h = lam * math.exp(-lam * eps) * eps
@@ -219,41 +225,43 @@ def count_prob_steps(lam: float, eps: float, xs, n_max: int) -> np.ndarray:
     return acc.T.reshape((width, *xs.shape))
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def count_prob_grid(lam: float, eps: float, xs: np.ndarray, n: int) -> np.ndarray:
     """Vectorized n-cluster probability profile over an array of lengths.
 
     Plain float64 accumulation (no fsum); intended for density grids and
     the tests' quadrature oracles, where 1e-12 accuracy is ample.
     """
+    import numpy as np
+
     xs = np.asarray(xs, dtype=float)
-    out = np.zeros_like(xs)
-    positive = xs > 0.0
-    if n == 0:
-        out[~positive] = 1.0
-    if not positive.any():
-        return out
-    a = lam * math.exp(-lam * eps)
-    x_hi = float(xs[positive].max())
-    i_hi = floor_ratio(x_hi, eps) - n
-    c = x_hi * a
-    inv_nfact = _inv_fact_double(n)
-    bound = _initial_bound(c, n, inv_nfact)
-    for i in range(max(i_hi, 0) + 1):
-        k = n + i
-        slack = (k * eps) * (1.0 - FLOOR_SLACK) if k > 0 else 0.0
-        active = positive & (xs >= slack)
-        if not active.any():
-            break
-        b = (xs[active] - k * eps) * a
-        inv_ifact = _inv_fact_double(i)
-        term = (np.maximum(b, 0.0) ** k if k > 0 else np.ones_like(b)) * (inv_nfact * inv_ifact)
-        out[active] += -term if i % 2 else term
-        if i >= 1:
-            bound *= c / i
-            if c < 0.5 * (i + 1) and bound < _TAIL_CUTOFF:
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.zeros_like(xs)
+        positive = xs > 0.0
+        if n == 0:
+            out[~positive] = 1.0
+        if not positive.any():
+            return out
+        a = lam * math.exp(-lam * eps)
+        x_hi = float(xs[positive].max())
+        i_hi = floor_ratio(x_hi, eps) - n
+        c = x_hi * a
+        inv_nfact = _inv_fact_double(n)
+        bound = _initial_bound(c, n, inv_nfact)
+        for i in range(max(i_hi, 0) + 1):
+            k = n + i
+            slack = (k * eps) * (1.0 - FLOOR_SLACK) if k > 0 else 0.0
+            active = positive & (xs >= slack)
+            if not active.any():
                 break
-    return out
+            b = (xs[active] - k * eps) * a
+            inv_ifact = _inv_fact_double(i)
+            term = (np.maximum(b, 0.0) ** k if k > 0 else np.ones_like(b)) * (inv_nfact * inv_ifact)
+            out[active] += -term if i % 2 else term
+            if i >= 1:
+                bound *= c / i
+                if c < 0.5 * (i + 1) and bound < _TAIL_CUTOFF:
+                    break
+        return out
 
 
 def count_prob_deriv_grid(lam: float, eps: float, xs: np.ndarray, n: int) -> np.ndarray:
@@ -261,6 +269,8 @@ def count_prob_deriv_grid(lam: float, eps: float, xs: np.ndarray, n: int) -> np.
     for x >= eps (the right derivative at lattice points), 0 below, on one
     count_prob_steps call. Raises CapacityError as count_prob_steps does.
     """
+    import numpy as np
+
     xs = np.asarray(xs, dtype=float)
     lagged = count_prob_steps(lam, eps, xs - eps, n)
     lower = lagged[n - 1] if n > 0 else 0.0

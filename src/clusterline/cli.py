@@ -5,6 +5,11 @@ else on stdout; there is no interactive mode and no rendering. Numeric
 fields are formatted to 9 significant digits so documents are byte-stable
 across platforms. Exit status: 0 on success, 1 on computation errors,
 2 on usage errors.
+
+The analytic subcommands (pmf, incomplete, circle, moments, coverage,
+density --law U and sweep) run on the pure-Python kernels and never import
+numpy; density --law B, laplace-check, simulate and compare import their
+numpy-backed modules inside their handlers, when they run.
 """
 
 from __future__ import annotations
@@ -15,8 +20,6 @@ import io
 import json
 import math
 import sys
-
-import numpy as np
 
 from . import __version__
 from .cluster_laws import (
@@ -39,9 +42,6 @@ from .component_counts import (
     pmf_incomplete_table,
     var_complete,
 )
-from .laplace_check import count_transform_residuals
-from .mc_engine import SampleConfig, estimate
-from .stats_compare import compare_continuous, compare_pmf
 
 SCHEMA_VERSION = "1"
 GRID_MAX_POINTS = 100_000
@@ -127,8 +127,24 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(p) for p in text.split(",") if p != ""]
+def _count_list(text: str) -> list[int]:
+    """argparse type: a comma list of integers >= 0 (anything else is a usage error)."""
+    try:
+        counts = [int(p) for p in text.split(",") if p != ""]
+    except ValueError:
+        counts = [-1]
+    if any(n < 0 for n in counts):
+        raise argparse.ArgumentTypeError(f"must be a comma list of non-negative integers, got {text!r}")
+    return counts
+
+
+def _linspace(lo: float, hi: float, count: int) -> list[float]:
+    """np.linspace(lo, hi, count).tolist() bit for bit (numpy's path for a
+    step that underflows to 0 aside), without importing numpy."""
+    if count == 1:
+        return [0.0 * (hi - lo) + lo]  # nan where hi - lo is not finite, as numpy gives
+    step = (hi - lo) / (count - 1)
+    return [k * step + lo for k in range(count - 1)] + [hi]
 
 
 def _cmd_table(args, command: str, scenario: str) -> None:
@@ -164,24 +180,22 @@ def _cmd_density(args) -> None:
     if law == "B":
         mixed = cluster_length_law(params)
         x_max = params.radius + 10.0 * mean_cluster_length(params)
-        xs = np.linspace(params.radius, x_max, args.points)
+        xs = _linspace(params.radius, x_max, args.points)
         rows.append({"kind": "atom", "x": mixed.atom_location, "value": mixed.atom_mass})
-        dens = np.asarray(mixed.density(xs), dtype=float)
-        rows.extend({"kind": "density", "x": float(x), "value": float(d)} for x, d in zip(xs, dens))
+        rows.extend({"kind": "density", "x": x, "value": float(d)} for x, d in zip(xs, mixed.density(xs)))
     elif law == "U":
-        order = int(args.n)
+        order = args.n
         x_max = params.radius + 10.0 * order * (mean_cluster_length(params) + 1.0 / params.intensity)
-        xs = np.linspace(params.radius, x_max, args.points)
-        rows.extend(
-            {"kind": "density", "x": float(x), "value": cycle_sum_density(params, order, float(x))}
-            for x in xs
-        )
+        xs = _linspace(params.radius, x_max, args.points)
+        rows.extend({"kind": "density", "x": x, "value": cycle_sum_density(params, order, x)} for x in xs)
     else:
         raise ValueError(f"unknown law {args.law!r}; expected B or U")
     _emit(args, "density", ["kind", "x", "value"], rows)
 
 
 def _cmd_laplace_check(args) -> None:
+    from .laplace_check import count_transform_residuals
+
     params = ModelParams(args.lam, args.epsilon)
     rows = count_transform_residuals(params, range(4), (0.5, 1.0, 2.0))
     # the residual itself is rounding noise below tol and its bits vary with
@@ -197,14 +211,18 @@ def _scenario_key(text: str) -> str:
 
 def _sample(args):
     """The seeded estimate simulate and compare open with: (params, scenario, order, result)."""
+    from .mc_engine import SampleConfig, estimate
+
     params = ModelParams(args.lam, args.epsilon)
     config = SampleConfig(seed=args.seed, replications=args.samples, parallelism_hint=args.jobs)
     key = _scenario_key(args.scenario)
-    order = int(args.n) if args.n else 1
+    order = args.n or 1
     return params, key, order, estimate(params, key, args.length, config, cycle_order=order)
 
 
 def _cmd_simulate(args) -> None:
+    import numpy as np
+
     _, _, _, result = _sample(args)
     if isinstance(result, np.ndarray):
         rows = [{"index": i, "value": float(v)} for i, v in enumerate(result)]
@@ -223,6 +241,8 @@ def _cmd_simulate(args) -> None:
 
 
 def _cmd_compare(args) -> None:
+    from .stats_compare import compare_continuous, compare_pmf
+
     params, key, order, result = _sample(args)
     model = IntervalModel(params, args.length)
     if key == "b_law":
@@ -268,7 +288,7 @@ def _cmd_sweep(args) -> None:
     eps = args.epsilon
     length = args.length
     if args.curve == "pmf":
-        ns = _parse_int_list(args.n) if args.n else [0, 1, 2, 3]
+        ns = args.n or [0, 1, 2, 3]
         columns = ["lambda"] + [f"p{n}" for n in ns]
         rows = []
         for lam in grid:
@@ -300,10 +320,10 @@ def _add_common(sub, *, length=False, fmt=True):
 
 def _add_sampling(sub, samples_help: str) -> None:
     sub.add_argument("--scenario", required=True, help="complete|incomplete|circle|coverage|b-law|u-law")
-    sub.add_argument("--samples", type=int, default=100_000, help=samples_help)
+    sub.add_argument("--samples", type=_positive_int, default=100_000, help=samples_help)
     sub.add_argument("--seed", type=int, default=0, help="run seed")
-    sub.add_argument("--jobs", type=int, default=1, help="parallelism hint (>= 1); changes neither results nor threads")
-    sub.add_argument("--n", default=None, help="cycle count for u-law")
+    sub.add_argument("--jobs", type=_positive_int, default=1, help="parallelism hint (>= 1); changes neither results nor threads")
+    sub.add_argument("--n", type=_positive_int, default=None, help="cycle count for u-law")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -347,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="First --m raw moments. Columns: m, moment.",
     )
     _add_common(sp, length=True)
-    sp.add_argument("--m", type=int, required=True, help="highest moment order")
+    sp.add_argument("--m", type=_positive_int, required=True, help="highest moment order")
     sp.set_defaults(handler=_cmd_moments)
 
     sp = subs.add_parser(
@@ -372,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(sp)
     sp.add_argument("--law", choices=("B", "U"), required=True, help="which law to sample")
-    sp.add_argument("--n", default="1", help="cycle count for --law U")
+    sp.add_argument("--n", type=_positive_int, default="1", help="cycle count for --law U")
     sp.add_argument("--points", type=_positive_int, default=200, help="grid size (positive integer)")
     sp.set_defaults(handler=_cmd_density)
 
@@ -429,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lambda", dest="lam_grid", required=True, help=grid_help)
     sp.add_argument("--epsilon", type=float, required=True)
     sp.add_argument("--length", type=float, required=True)
-    sp.add_argument("--n", default=None, help="comma list of counts for --curve pmf (default 0,1,2,3)")
+    sp.add_argument("--n", type=_count_list, default=None, help="comma list of counts for --curve pmf (default 0,1,2,3)")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--out", default=None)
     sp.set_defaults(handler=_cmd_sweep)

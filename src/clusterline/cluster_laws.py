@@ -21,10 +21,12 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ._pn import count_prob, count_prob_deriv_grid, count_prob_steps
+
+if TYPE_CHECKING:  # the density and CDF closures import numpy when called
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -130,6 +132,8 @@ def cluster_length_law(params: ModelParams) -> MixedLaw:
     damp = math.exp(-lam * eps)
 
     def density(x):
+        import numpy as np
+
         scalar = np.isscalar(x)
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         here, before = count_prob_deriv_grid(lam, eps, np.stack([xs, xs - eps]), 0)
@@ -173,6 +177,8 @@ def cluster_length_cdf(params: ModelParams) -> Callable:
     damp = math.exp(-lam * eps)
 
     def values(xs):
+        import numpy as np
+
         here, before = count_prob_steps(lam, eps, np.stack([xs, xs - eps]), 0)[0]
         return np.where(xs >= eps, 1.0 - here + damp * before, 0.0)
 
@@ -192,6 +198,8 @@ def cycle_sum_cdf(params: ModelParams, n: int) -> Callable:
 
 def _cdf(values: Callable[[np.ndarray], np.ndarray]) -> Callable:
     def cdf(x):
+        import numpy as np
+
         scalar = np.isscalar(x)
         out = np.clip(values(np.atleast_1d(np.asarray(x, dtype=float))), 0.0, 1.0)
         return float(out[0]) if scalar else out

@@ -15,7 +15,7 @@ import pytest
 
 import clusterline
 from clusterline import ModelParams, mean_cluster_length
-from clusterline.cli import GRID_MAX_POINTS, _parse_grid, main
+from clusterline.cli import GRID_MAX_POINTS, _linspace, _parse_grid, main
 from oracles import span_density_by_digits
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -107,6 +107,67 @@ def test_laplace_check_bytes_independent_of_blas_kernel():
     assert default == prescott
 
 
+# the golden of every subcommand that runs on the pure-Python kernels
+NUMPY_FREE_GOLDENS = [
+    "circle.csv",
+    "coverage.csv",
+    "density_u2.csv",
+    "incomplete.csv",
+    "moments.csv",
+    "pmf.csv",
+    "sweep_mean.csv",
+    "sweep_pmf.json",
+    "sweep_var.csv",
+]
+# runs cli.main on its argv, then reports on stderr whether numpy was imported
+NUMPY_PROBE = """
+import sys
+from clusterline.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+sys.stdout.flush()
+sys.stderr.write(f"numpy imported: {'numpy' in sys.modules}\\n")
+sys.exit(code)
+"""
+
+
+def _run_fresh(argv: list[str]) -> subprocess.CompletedProcess:
+    src = str(Path(clusterline.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", NUMPY_PROBE, *argv], env=env, capture_output=True)
+
+
+@pytest.mark.parametrize(
+    "argv,code,golden",
+    [(GOLDEN_CASES[name], 0, name) for name in NUMPY_FREE_GOLDENS]
+    + [("--help", 0, None), ("moments --lambda 1 --epsilon 1 --length 4 --m 0", 2, None)],
+)
+def test_analytic_subcommands_run_without_numpy(argv, code, golden):
+    proc = _run_fresh(argv.split())
+    assert proc.returncode == code, proc.stderr.decode()
+    assert proc.stderr.decode().endswith("numpy imported: False\n")
+    if golden is not None:
+        assert proc.stdout == (GOLDEN_DIR / golden).read_bytes()
+
+
+def test_linspace_matches_numpy_bit_for_bit():
+    p = ModelParams(1.0, 1.0)
+    mean = mean_cluster_length(p)
+    rng = np.random.default_rng(20)
+    grids = [(0.0, 1.0, count) for count in (1, 2, 12, 200, 100_000)]
+    grids += [(2.5, 2.5, 1), (2.5, 2.5, 7)]
+    # the density defaults: --law B and --law U --n 1 at 200 points
+    grids += [(p.radius, p.radius + 10.0 * mean, 200), (p.radius, p.radius + 10.0 * (mean + 1.0 / p.intensity), 200)]
+    los, spans, counts = rng.uniform(0.0, 5.0, 200), rng.exponential(20.0, 200), rng.integers(1, 2000, 200)
+    grids += [(float(lo), float(lo + span), int(count)) for lo, span, count in zip(los, spans, counts)]
+    for lo, hi, count in grids:
+        ours = [x.hex() for x in _linspace(lo, hi, count)]
+        assert ours == [x.hex() for x in np.linspace(lo, hi, count).tolist()], (lo, hi, count)
+
+
 def test_repeat_invocations_byte_identical(tmp_path):
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
@@ -156,6 +217,22 @@ def test_usage_error_exits_two():
         with pytest.raises(SystemExit) as info:
             main(["density", "--law", "B", "--lambda", "1", "--epsilon", "1", "--points", points])
         assert info.value.code == 2
+    # integer flags are parsed by argparse, so a bad value is a usage error
+    # before anything is computed
+    for argv in (
+        "moments --lambda 1 --epsilon 1 --length 4 --m 0",
+        "moments --lambda 1 --epsilon 1 --length 4 --m=-2",
+        "density --law U --lambda 1 --epsilon 1 --n abc",
+        "density --law U --lambda 1 --epsilon 1 --n 0",
+        "simulate --scenario u-law --lambda 1 --epsilon 1 --length 4 --n x",
+        "simulate --scenario complete --lambda 1 --epsilon 1 --length 4 --samples 0",
+        "simulate --scenario complete --lambda 1 --epsilon 1 --length 4 --jobs 0",
+        "sweep --curve pmf --lambda 1 --epsilon 1 --length 4.5 --n=-1,4",
+        "sweep --curve pmf --lambda 1 --epsilon 1 --length 4.5 --n 1,x",
+    ):
+        with pytest.raises(SystemExit) as info:
+            main(argv.split())
+        assert info.value.code == 2, argv
 
 
 def test_coverage_never_prints_nan(capsys):
