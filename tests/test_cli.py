@@ -33,6 +33,8 @@ GOLDEN_CASES = {
     "simulate_blaw.csv": "simulate --scenario b-law --lambda 1 --epsilon 1 --length 1 --samples 50 --seed 3",
     "compare_circle.json": "compare --scenario circle --lambda 1 --epsilon 1 --length 4 --samples 2000 --seed 7 --format json",
     "compare_coverage.csv": "compare --scenario coverage --lambda 1 --epsilon 1 --length 2 --samples 2000 --seed 5",
+    "compare_blaw.csv": "compare --scenario b-law --lambda 1 --epsilon 1 --length 1 --samples 2000 --seed 3",
+    "compare_ulaw2.csv": "compare --scenario u-law --n 2 --lambda 1 --epsilon 1 --length 1 --samples 2000 --seed 4",
     "sweep_mean.csv": "sweep --curve mean --lambda 0.25:5:0.25 --epsilon 1 --length 4",
     "sweep_var.csv": "sweep --curve var --lambda 0.5:2:0.5 --epsilon 1 --length 4",
     "sweep_pmf.json": "sweep --curve pmf --lambda 0.5:2:0.5 --epsilon 1 --length 4 --n 0,1 --format json",
