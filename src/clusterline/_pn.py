@@ -19,7 +19,11 @@ tiny-radius limits (floor(x/eps) in the millions) affordable.
 ``count_prob_steps`` solves the delay equation p_n'(x) = a [p_{n-1}(x - eps)
 - p_n(x - eps)], a = lam e^{-lam eps}, p_n = delta_{n0} on [0, eps], by the
 method of steps: on step j (x = eps (j + t), 0 <= t <= 1) each p_n is a
-polynomial in t, one integration of the last step's. Nothing cancels.
+polynomial in t, one integration of the last step's. Nothing cancels. Its
+t^m coefficient is G_m v_{j-m}, where v_i holds the profile at i eps and the
+lag matrix G_m = (a eps)^m / m! (S - I)^m is filled from a binomial table;
+each coefficient is formed once per step, and each point runs Horner's rule
+over its own step's coefficients.
 ``count_prob_deriv_grid`` reads p_n' off the same equation, so the span
 CDF and its density share that one kernel. ``count_prob_grid`` sums the
 alternating series over an array in plain doubles; it backs the Laplace
@@ -179,13 +183,33 @@ def _pn_sum(ar: NumberSystem, lam: float, eps: float, x: float, n: int) -> tuple
     return ar.total(terms), ar.total(map(abs, terms))
 
 
+def _step_lags(h: float, width: int) -> np.ndarray:
+    """The lag matrices G_m = h^m / m! (S - I)^m, m <= _STEP_DEGREE, shape
+    (_STEP_DEGREE + 1, width, width): entry (i, i - k) of G_m is
+    h^m / m! (-1)^(m - k) C(m, k), and every entry above the diagonal is 0.
+    """
+    import numpy as np
+
+    deg = _STEP_DEGREE
+    scale = [h**m / math.factorial(m) for m in range(deg + 1)]
+    lags, rows = np.zeros((deg + 1, width, width)), np.arange(width)
+    for k in range(min(deg, width - 1) + 1):
+        band = [scale[m] * (-1) ** (m - k) * math.comb(m, k) for m in range(deg + 1)]
+        lags[:, rows[k:], rows[: width - k]] = np.array(band)[:, None]
+    return lags
+
+
 def count_prob_steps(lam: float, eps: float, xs, n_max: int) -> np.ndarray:
     """p_0..p_{n_max} at xs by the method of steps, shape (n_max + 1, *xs.shape).
 
     With v_i = (p_0..p_{n_max})(i eps), zero before step 0, the coefficient
     of t^m on step j is G_m v_{j-m}, G_m = (a eps)^m / m! (S - I)^m with S
-    the shift from count n - 1 to n. Points past the first step where
-    sum_k p_k < 2^-60 read 0, as P(N(x) <= n_max) does not increase.
+    the shift from count n - 1 to n (``_step_lags``). Each coefficient is
+    formed once per step, up to the last step that holds a point; each point
+    then runs Horner's rule over its step's coefficients, gathering one
+    coefficient at a time, so memory stays O(N (n_max + 1)) for N points.
+    Points past the first step where sum_k p_k < 2^-60 read 0, as
+    P(N(x) <= n_max) does not increase.
 
     Raises:
         CapacityError: For a point past STEP_TABLE_BUDGET / (n_max + 1) steps
@@ -196,15 +220,14 @@ def count_prob_steps(lam: float, eps: float, xs, n_max: int) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     u, width, deg = xs.ravel() / eps, n_max + 1, _STEP_DEGREE
     h = lam * math.exp(-lam * eps) * eps
-    diff = h * (np.eye(width, k=-1) - np.eye(width))
-    lags = [np.linalg.matrix_power(diff, m) / math.factorial(m) for m in range(deg + 1)]
+    lags = _step_lags(h, width)
     step = np.maximum(np.floor(u), 0.0)  # nan stays nan
     top, limit = np.nanmax(step, initial=0.0), STEP_TABLE_BUDGET // width
     # p_0(x) >= e^{-lam x} (no point in [0, x]) and >= 1 - a x (p_0' >= -a): no stop
     # by step `limit` if lam eps limit < 60 ln 2 or a eps limit < 1/2, so raise unbuilt
     unreachable = lam * eps * limit < 60.0 * math.log(2.0) or h * limit < 0.5
     steps = 0 if top > limit and unreachable else int(min(top, limit))
-    weights = np.concatenate(lags[::-1], axis=1)  # v_j = sum_m G_m v_{j-1-m}, oldest first
+    weights = lags[::-1].transpose(1, 0, 2).reshape(width, -1)  # v_j = sum_m G_m v_{j-1-m}, oldest first
     flat = np.zeros((deg + 1 + steps) * width)  # calloc: pages past the stop stay untouched
     flat[deg * width] = 1.0
     values, stop = flat.reshape(-1, width), np.inf
@@ -217,12 +240,19 @@ def count_prob_steps(lam: float, eps: float, xs, n_max: int) -> np.ndarray:
         raise CapacityError(f"p_0..p_{n_max} at x = {top * eps:g} needs over {limit} steps of eps = {eps:g} (STEP_TABLE_BUDGET)")
     beyond = step >= stop
     index = np.where(beyond | np.isnan(step), 0.0, step).astype(np.intp)
-    t = np.clip(u - index, 0.0, 1.0)[:, None]
-    acc = np.zeros((u.size, width))
+    t = np.clip(u - index, 0.0, 1.0)
+    rows = int(index.max(initial=0)) + 1  # steps 0..rows-1 hold every point
+    table = values[: deg + rows].T.copy()  # count n's step values, one contiguous row per n
+    coef, term, acc = np.empty((width, rows)), np.empty((width, u.size)), np.zeros((width, u.size))
     for m in range(deg, -1, -1):  # Horner's rule, one coefficient at a time
-        acc = acc * t + values[index + deg - m] @ lags[m].T
-    acc[beyond] = 0.0
-    return acc.T.reshape((width, *xs.shape))
+        lagged = table[:, deg - m : deg - m + rows]  # v_{j-m} for steps j < rows
+        np.multiply(lags[m, 0, 0], lagged, out=coef)  # G_m v: G_m is constant along each subdiagonal
+        for k in range(1, min(m, width - 1) + 1):
+            coef[k:] += lags[m, k, 0] * lagged[:-k]
+        acc *= t
+        acc += np.take(coef, index, axis=1, out=term, mode="wrap")  # index < rows: skip the bounds check
+    acc[:, beyond] = 0.0
+    return acc.reshape((width, *xs.shape))
 
 
 def count_prob_grid(lam: float, eps: float, xs: np.ndarray, n: int) -> np.ndarray:

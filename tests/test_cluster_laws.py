@@ -5,6 +5,8 @@ sum and their own transform identities."""
 
 import math
 import time
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from clusterline import (
     pmf_complete,
     QuadratureSpec,
 )
-from clusterline._pn import count_prob_steps
+from clusterline._pn import _STEP_DEGREE, _step_lags, count_prob_steps
 from clusterline.quadrature import integrate_adaptive
 from oracles import (
     cycle_sum_cdf_by_quadrature,
@@ -305,6 +307,61 @@ class TestStepsKernel:
             count_prob_steps(1.0, 2e-3, np.array([1e4]), 15)
         # a point inside the budget still answers
         assert count_prob_steps(1.0, 1e-7, np.array([0.01]), 0)[0, 0] == pytest.approx(math.exp(-0.01), rel=1e-5)
+
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 3])
+    def test_a_point_reads_the_same_bits_in_any_call(self, n_max):
+        # unsorted, with repeats, lattice points (t = 0) and points past the
+        # 2^-60 stop (step 47 to 65 here)
+        rng = np.random.default_rng(21 + n_max)
+        spread = rng.uniform(0.0, 80.0, 3920)
+        lattice = np.arange(80.0)
+        xs = rng.permutation(np.concatenate([spread, lattice, rng.choice(spread, 1000)]))
+        assert xs.size == 5000
+        whole = count_prob_steps(1.0, 1.0, xs, n_max)
+        assert whole[:, xs >= 70.0].tolist() == [[0.0] * int((xs >= 70.0).sum())] * (n_max + 1)
+        # every column against calls of other sizes, and a spread of columns,
+        # every lattice point and every point past the stop against one-point calls
+        bounds = [0, 1, 2, 17, 400, 1500, 5000]
+        parts = [count_prob_steps(1.0, 1.0, xs[lo:hi], n_max) for lo, hi in zip(bounds, bounds[1:])]
+        assert np.concatenate(parts, axis=1).tobytes() == whole.tobytes()
+        alone = sorted(set(range(0, 5000, 40)) | set(np.flatnonzero((xs % 1.0 == 0.0) | (xs >= 70.0))[::4]))
+        for i in alone:
+            assert count_prob_steps(1.0, 1.0, xs[i : i + 1], n_max).tobytes() == whole[:, i].tobytes(), xs[i]
+
+    @pytest.mark.parametrize("lam_eps", [0.25, 0.5, 1.0])
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_lag_table_matches_matrix_powers(self, lam_eps, width):
+        h = lam_eps * math.exp(-lam_eps)
+        diff = h * (np.eye(width, k=-1) - np.eye(width))
+        powers = np.stack([np.linalg.matrix_power(diff, m) / math.factorial(m) for m in range(_STEP_DEGREE + 1)])
+        np.testing.assert_array_max_ulp(_step_lags(h, width), powers, maxulp=4)
+
+    @pytest.mark.parametrize("lam_eps", [0.5, 1.0, 2.0, 4.0, 6.0])
+    def test_lag_table_is_the_binomial_table_to_three_ulp(self, lam_eps):
+        # at lam eps >= 2 the repeated squarings of matrix_power are
+        # themselves up to 12 ulp from the exact entries
+        h = lam_eps * math.exp(-lam_eps)
+        lags = _step_lags(h, 6)
+        for m in range(_STEP_DEGREE + 1):
+            for i in range(6):
+                for j in range(6):
+                    k = i - j
+                    exact = Fraction(h) ** m / math.factorial(m) * (-1) ** (m - k) * math.comb(m, k) if 0 <= k <= m else 0
+                    assert abs(Fraction(lags[m, i, j]) - exact) <= 3 * Fraction(np.spacing(abs(float(exact)))), (m, i, j)
+
+    @pytest.mark.parametrize("points,n_max", [(40_000, 0), (20_000, 2)])
+    def test_peak_memory_is_a_few_rows_of_points(self, points, n_max):
+        # the Kolmogorov-Smirnov probes of the span and cycle-sum CDFs; the
+        # earlier per-point lag products peaked at 2.5 and 2.6 MB here
+        xs = np.linspace(0.0, 30.0, points)
+        count_prob_steps(1.0, 1.0, xs, n_max)
+        tracemalloc.start()
+        try:
+            count_prob_steps(1.0, 1.0, xs, n_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6
 
 
 RENEWAL_BANDS = [0.5, 1.0, 2.0, 4.0]
