@@ -23,6 +23,7 @@ import sys
 
 from . import __version__
 from .cluster_laws import (
+    SCENARIOS,
     ModelParams,
     cluster_length_cdf,
     cluster_length_law,
@@ -44,6 +45,7 @@ from .component_counts import (
 )
 
 SCHEMA_VERSION = "1"
+SCENARIO_NAMES = "|".join(name.replace("_", "-") for name in SCENARIOS)
 GRID_MAX_POINTS = 100_000
 # count tables by scenario (the pmf subcommand prints the complete one); the
 # builders are looked up per call, so a traced run still sees them called
@@ -127,6 +129,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _scenario(text: str) -> str:
+    """argparse type: a scenario name, '-' accepted for '_' (anything else is a usage error)."""
+    key = text.lower().replace("-", "_")
+    if key not in SCENARIOS:
+        raise argparse.ArgumentTypeError(f"must be one of {SCENARIO_NAMES}, got {text!r}")
+    return key
+
+
 def _count_list(text: str) -> list[int]:
     """argparse type: a comma list of integers >= 0 (anything else is a usage error)."""
     try:
@@ -205,19 +215,14 @@ def _cmd_laplace_check(args) -> None:
     _emit(args, "laplace-check", ["n", "s", "closed", "numeric", "tol", "verdict"], rows)
 
 
-def _scenario_key(text: str) -> str:
-    return text.lower().replace("-", "_")
-
-
 def _sample(args):
     """The seeded estimate simulate and compare open with: (params, scenario, order, result)."""
     from .mc_engine import SampleConfig, estimate
 
     params = ModelParams(args.lam, args.epsilon)
     config = SampleConfig(seed=args.seed, replications=args.samples, parallelism_hint=args.jobs)
-    key = _scenario_key(args.scenario)
     order = args.n or 1
-    return params, key, order, estimate(params, key, args.length, config, cycle_order=order)
+    return params, args.scenario, order, estimate(params, args.scenario, args.length, config, cycle_order=order)
 
 
 def _cmd_simulate(args) -> None:
@@ -319,7 +324,7 @@ def _add_common(sub, *, length=False, fmt=True):
 
 
 def _add_sampling(sub, samples_help: str) -> None:
-    sub.add_argument("--scenario", required=True, help="complete|incomplete|circle|coverage|b-law|u-law")
+    sub.add_argument("--scenario", type=_scenario, required=True, help=SCENARIO_NAMES)
     sub.add_argument("--samples", type=_positive_int, default=100_000, help=samples_help)
     sub.add_argument("--seed", type=int, default=0, help="run seed")
     sub.add_argument("--jobs", type=_positive_int, default=1, help="parallelism hint (>= 1); changes neither results nor threads")

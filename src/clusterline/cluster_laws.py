@@ -28,6 +28,9 @@ from ._pn import count_prob, count_prob_deriv_grid, count_prob_steps
 if TYPE_CHECKING:  # the density and CDF closures import numpy when called
     import numpy as np
 
+# what simulate and compare sample: three count tables, coverage, the span and the cycle sum
+SCENARIOS = ("complete", "incomplete", "circle", "coverage", "b_law", "u_law")
+
 
 @dataclass(frozen=True)
 class ModelParams:

@@ -26,15 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster_laws import ModelParams
+from .cluster_laws import SCENARIOS, ModelParams
 from .errors import CapacityError
 
 _SEED_MASK = (1 << 64) - 1
 _CHUNK_ELEMENTS = 1 << 16  # doubles per chunk array
 # Expected in-cluster gap draws per b_law / u_law replication, cycles (e^{lam eps} - 1).
 MAX_GAPS_PER_REPLICATION = 1 << 24
-
-SCENARIOS = ("complete", "incomplete", "circle", "coverage", "b_law", "u_law")
 
 
 @dataclass(frozen=True)

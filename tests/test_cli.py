@@ -145,7 +145,11 @@ def _run_fresh(argv: list[str]) -> subprocess.CompletedProcess:
 @pytest.mark.parametrize(
     "argv,code,golden",
     [(GOLDEN_CASES[name], 0, name) for name in NUMPY_FREE_GOLDENS]
-    + [("--help", 0, None), ("moments --lambda 1 --epsilon 1 --length 4 --m 0", 2, None)],
+    + [
+        ("--help", 0, None),
+        ("moments --lambda 1 --epsilon 1 --length 4 --m 0", 2, None),
+        ("simulate --scenario bogus --lambda 1 --epsilon 1 --length 4", 2, None),
+    ],
 )
 def test_analytic_subcommands_run_without_numpy(argv, code, golden):
     proc = _run_fresh(argv.split())
@@ -231,6 +235,8 @@ def test_usage_error_exits_two():
         "simulate --scenario complete --lambda 1 --epsilon 1 --length 4 --jobs 0",
         "sweep --curve pmf --lambda 1 --epsilon 1 --length 4.5 --n=-1,4",
         "sweep --curve pmf --lambda 1 --epsilon 1 --length 4.5 --n 1,x",
+        "simulate --scenario bogus --lambda 1 --epsilon 1 --length 4",
+        "compare --scenario bogus --lambda 1 --epsilon 1 --length 4",
     ):
         with pytest.raises(SystemExit) as info:
             main(argv.split())
