@@ -16,6 +16,10 @@ bound on the remaining tail drops below 1e-18 of the leading term
 documented double-precision regime this changes nothing, and it keeps
 tiny-radius limits (floor(x/eps) in the millions) affordable.
 
+With ``lag=1`` every exponent is one lower and both sums are scaled by x a,
+a = lam e^{-lam eps}: that is the cluster count on a circle of circumference
+x, x a p_{n-1}(x - eps) / n for n >= 1 and p_0(x) - a eps p_0(x - eps) at 0.
+
 ``count_prob_steps`` solves the delay equation p_n'(x) = a [p_{n-1}(x - eps)
 - p_n(x - eps)], a = lam e^{-lam eps}, p_n = delta_{n0} on [0, eps], by the
 method of steps: on step j (x = eps (j + t), 0 <= t <= 1) each p_n is a
@@ -84,7 +88,6 @@ class NumberSystem:
     exp: Callable
     total: Callable  # math.fsum, or an in-order sum whose digits absorb the rounding
     exp_partial: Callable  # sum_{j<=k} y^j / j!, compensated in doubles
-    isfinite: Callable
     inv_fact: Callable  # i -> 1/i!
     tail_cut: float  # the p_n sum stops once its tail bound is below this times its leading term
     working_mass: bool  # incomplete mass counts the partial sums' working magnitude
@@ -110,7 +113,7 @@ def _exp_partial_in_order(j_max: int, y):
 _inv_fact_double = _inv_fact_table(1.0, lambda i: math.exp(-math.lgamma(i + 1)))
 # partial_exp_sum is looked up per call, so a traced run still sees the double pass call it
 DOUBLES = NumberSystem(
-    float, math.exp, math.fsum, lambda k, y: partial_exp_sum(k, y), math.isfinite, _inv_fact_double, _TAIL_CUTOFF, True
+    float, math.exp, math.fsum, lambda k, y: partial_exp_sum(k, y), _inv_fact_double, _TAIL_CUTOFF, True
 )
 
 
@@ -122,7 +125,7 @@ def digits(dps: int) -> NumberSystem:
     ctx = mpmath.MPContext()
     ctx.dps = dps
     inv_fact = _inv_fact_table(ctx.mpf(1), lambda i: 1 / ctx.factorial(i))
-    return NumberSystem(ctx.mpf, ctx.exp, sum, _exp_partial_in_order, ctx.isfinite, inv_fact, 10.0 ** -(dps + 20), False)
+    return NumberSystem(ctx.mpf, ctx.exp, sum, _exp_partial_in_order, inv_fact, 10.0 ** -(dps + 20), False)
 
 
 def as_doubles(value, mass) -> tuple[float, float]:
@@ -130,24 +133,25 @@ def as_doubles(value, mass) -> tuple[float, float]:
     return float(value), float(min(mass, 1e300))
 
 
-def count_prob(lam: float, eps: float, x: float, n: int) -> tuple[float, float]:
+def count_prob(lam: float, eps: float, x: float, n: int, *, lag: int = 0) -> tuple[float, float]:
     """Raw probability of n complete clusters on [0, x], plus |term| mass.
 
     Returns:
         (value, abs_sum) where value is the unclamped alternating sum and
         abs_sum is the sum of absolute term magnitudes (for cancellation
         estimates). For x <= 0 the profile is 1 at n = 0 and 0 otherwise.
+        ``lag=1`` gives the circle count on circumference x instead.
     """
-    return _pn_sum(DOUBLES, lam, eps, x, n)
+    return _pn_sum(DOUBLES, lam, eps, x, n, lag)
 
 
-def count_prob_mp(lam: float, eps: float, x: float, n: int, dps: int) -> tuple[float, float]:
+def count_prob_mp(lam: float, eps: float, x: float, n: int, dps: int, *, lag: int = 0) -> tuple[float, float]:
     """count_prob's series re-run at ``dps`` digits, when the double pass cancels too much."""
-    return as_doubles(*_pn_sum(digits(dps), lam, eps, x, n))
+    return as_doubles(*_pn_sum(digits(dps), lam, eps, x, n, lag))
 
 
-def _pn_sum(ar: NumberSystem, lam: float, eps: float, x: float, n: int) -> tuple:
-    """The p_n series in the arithmetic ``ar``, with its sum of |term|."""
+def _pn_sum(ar: NumberSystem, lam: float, eps: float, x: float, n: int, lag: int) -> tuple:
+    """The p_n series in the arithmetic ``ar``, with its sum of |term|; lag 1 lowers every exponent, scaling both by x a."""
     if x <= 0.0:
         one = 1.0 if n == 0 else 0.0
         return one, one
@@ -158,20 +162,20 @@ def _pn_sum(ar: NumberSystem, lam: float, eps: float, x: float, n: int) -> tuple
     a = lam_n * ar.exp(-lam_n * eps_n)
     c = x * float(a)  # upper bound on every term base
     if n > 0:
-        # for huge n every term underflows, and b**k could overflow before
-        # the inverse factorials bring it back.
+        # for huge n every term (a lagged one once scaled by x a) underflows,
+        # and b**k could overflow before the inverse factorials bring it back.
         log_lead = n * math.log(c) - math.lgamma(n + 1) if c > 0 else _LOG_UNDERFLOW
         if log_lead < _LOG_UNDERFLOW:
             return 0.0, 0.0
     inv_nfact = ar.inv_fact(n)
-    terms = []
-    bound = _initial_bound(c, n, _inv_fact_double(n))
+    terms, scale = [], x_n * a if lag else 1
+    bound = _initial_bound(c, n - lag, _inv_fact_double(n))  # |term i| <= c^(n+i-lag) / (n! i!)
     for i in range(i_max + 1):
         k = n + i
         b = (x_n - k * eps_n) * a
         try:
-            mag = (b**k if k > 0 else 1.0) * inv_nfact * ar.inv_fact(i)
-        except OverflowError:
+            mag = b ** (k - lag) * inv_nfact * ar.inv_fact(i)
+        except (OverflowError, ZeroDivisionError):  # b**k overflowed, or the lag's b**-1 with a underflowed
             return math.nan, math.inf  # far outside the stable regime; callers flag it
         terms.append(-mag if i % 2 else mag)
         if i == 0:
@@ -180,7 +184,7 @@ def _pn_sum(ar: NumberSystem, lam: float, eps: float, x: float, n: int) -> tuple
             bound *= c / i
             if c < 0.5 * (i + 1) and bound < cut:
                 break
-    return ar.total(terms), ar.total(map(abs, terms))
+    return scale * ar.total(terms), scale * ar.total(map(abs, terms))
 
 
 def _step_lags(h: float, width: int) -> np.ndarray:

@@ -185,21 +185,18 @@ def _cmd_coverage(args) -> None:
 
 def _cmd_density(args) -> None:
     params = ModelParams(args.lam, args.epsilon)
-    law = args.law.upper()
     rows = []
-    if law == "B":
+    if args.law == "B":
         mixed = cluster_length_law(params)
         x_max = params.radius + 10.0 * mean_cluster_length(params)
         xs = _linspace(params.radius, x_max, args.points)
         rows.append({"kind": "atom", "x": mixed.atom_location, "value": mixed.atom_mass})
         rows.extend({"kind": "density", "x": x, "value": float(d)} for x, d in zip(xs, mixed.density(xs)))
-    elif law == "U":
+    else:  # argparse allows only B and U
         order = args.n
         x_max = params.radius + 10.0 * order * (mean_cluster_length(params) + 1.0 / params.intensity)
         xs = _linspace(params.radius, x_max, args.points)
         rows.extend({"kind": "density", "x": x, "value": cycle_sum_density(params, order, x)} for x in xs)
-    else:
-        raise ValueError(f"unknown law {args.law!r}; expected B or U")
     _emit(args, "density", ["kind", "x", "value"], rows)
 
 

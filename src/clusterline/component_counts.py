@@ -63,6 +63,12 @@ class DistributionTable:
     tail_mass: float
 
 
+def _cancellation(eps_work: float, value: float, abs_sum: float) -> float:
+    if math.isfinite(value) and math.isfinite(abs_sum):
+        return eps_work * abs_sum / max(abs(value), 1e-300)
+    return math.inf
+
+
 def _finish_pmf(value: float, abs_sum: float, what: str, mp_eval, stacklevel: int = 3) -> float:
     """Stabilize an alternating pmf sum, then clamp to [0, 1].
 
@@ -73,20 +79,18 @@ def _finish_pmf(value: float, abs_sum: float, what: str, mp_eval, stacklevel: in
     re-evaluated at escalating precision (30, 60, 120 digits), also when
     the double pass is not finite; the ladder stops early once a pass's
     sum|term| shows that no pass up to 120 digits can meet the absolute
-    bound. A PrecisionWarning carrying the final estimate fires only if the
-    last pass still sits above the 1e-9 reliability threshold; the value
-    is clamped either way.
+    bound. A pass whose value or sum|term| is not finite has estimate inf.
+    A PrecisionWarning carrying the final estimate fires only if the last
+    pass still sits above the 1e-9 reliability threshold; the value is
+    clamped either way.
     """
     eps_work = math.ulp(1.0)
-    if math.isfinite(value) and math.isfinite(abs_sum):
-        estimate = eps_work * abs_sum / max(abs(value), 1e-300)
-    else:
-        estimate = math.inf
+    estimate = _cancellation(eps_work, value, abs_sum)
     if estimate > 1e-10 or eps_work * abs_sum > 1e-13:
         for dps in (30, 60, 120):
             value, abs_sum = mp_eval(dps)
             eps_work = 10.0 ** (1 - dps)
-            estimate = eps_work * abs_sum / max(abs(value), 1e-300)
+            estimate = _cancellation(eps_work, value, abs_sum)
             if (estimate <= 1e-10 and eps_work * abs_sum <= 1e-13) or abs_sum > _HOPELESS_MASS:
                 break
     if not math.isfinite(value) or estimate > _CANCEL_TOL:
@@ -203,60 +207,27 @@ def pmf_circle(model: IntervalModel, n: int) -> float:
     """Probability of exactly n disjoint covered arcs on a circle.
 
     length is read as the circumference. The count is zero both for an
-    empty circle and when a single cluster wraps the whole circle. The
-    law is
+    empty circle and when a single cluster wraps the whole circle. For
+    n >= 1
 
-        (lam e^{-lam eps} / n!) * sum_i ((-1)^i / i!)
-            * L * ([L - (n+i) eps] lam e^{-lam eps})^{n+i-1}
+        P(C = n) = (L / n) f_{U_n}(L) = L a p_{n-1}(L - eps) / n,
 
-    over i with (n+i) eps < L, where the (n+i) = 0 summand is defined by
-    its algebraic limit (exactly 1 after the prefactor) and absorbs the
-    empty-circle mass. This form is derived by mixing the classical
-    circular-spacings count over the Poisson point total and is validated
-    against simulation; it telescopes to total mass 1 exactly.
+    a = lam e^{-lam eps}, f_{U_n} the n-cycle-sum density, and
+    P(C = 0) = p_0(L) - a eps p_0(L - eps). Both are the complete-count
+    series with every exponent lowered by one and the sum scaled by L a
+    (count_prob with lag=1), on the same precision ladder as pmf_complete.
     """
     if n < 0:
         raise ValueError(f"count must be non-negative, got {n}")
     lam, eps = model.params.intensity, model.params.radius
     L = model.length
-    i_max = floor_ratio(L, eps) - n
-    if i_max < 0:
-        return 0.0
-    value, mass = _circle_sum(DOUBLES, lam, eps, L, n, i_max)
+    value, mass = count_prob(lam, eps, L, n, lag=1)
     return _finish_pmf(
         value,
         mass,
         f"pmf_circle(n={n})",
-        mp_eval=lambda dps: _circle_mp(lam, eps, L, n, i_max, dps),
+        mp_eval=lambda dps: count_prob_mp(lam, eps, L, n, dps, lag=1),
     )
-
-
-def _circle_mp(lam: float, eps: float, L: float, n: int, i_max: int, dps: int) -> tuple[float, float]:
-    """pmf_circle's series re-evaluated at ``dps`` digits."""
-    return as_doubles(*_circle_sum(digits(dps), lam, eps, L, n, i_max))
-
-
-def _circle_sum(ar: NumberSystem, lam: float, eps: float, L: float, n: int, i_max: int) -> tuple:
-    """pmf_circle's series and its sum of |term|; (nan, inf) on an overflowed term."""
-    lam_n, eps_n, len_n = ar.num(lam), ar.num(eps), ar.num(L)
-    a = lam_n * ar.exp(-eps_n * lam_n)
-    prefactor = a / ar.num(math.factorial(n)) if n <= 170 else a * ar.inv_fact(n)
-    terms = []
-    for i in range(i_max + 1):
-        k = n + i
-        if k == 0:
-            body = 1.0 / a  # algebraic limit of L b^{-1}: exactly 1 after prefactor
-        else:
-            b = (len_n - k * eps_n) * a
-            try:
-                body = b ** (k - 1) * len_n
-            except OverflowError:
-                return math.nan, math.inf
-        t = prefactor * ar.inv_fact(i) * body
-        terms.append(-t if i % 2 else t)
-    if not all(map(ar.isfinite, terms)):
-        return math.nan, math.inf
-    return ar.total(terms), ar.total(map(abs, terms))
 
 
 def _build_table(pmf, support_max: int, what: str) -> DistributionTable:

@@ -9,6 +9,10 @@ None of them imports the kernel it checks:
   law's density, the renewal CDF's derivative on the method-of-steps profile;
 - p_n_by_digits and span_density_by_digits: the alternating sum and the
   renewal density at 80 digits in mpmath, sharing no code with the package;
+- circle_by_digits: the circle count from p_n_by_digits, L a p_{n-1}(L - eps)
+  / n for n >= 1 and p_0(L) - a eps p_0(L - eps) at n = 0, with L - eps
+  formed at the oracle's precision. It checks pmf_circle, which sums the
+  lowered-exponent series in one pass;
 - span_cdf_by_quadrature and cycle_sum_cdf_by_quadrature: PanelCdf
   quadrature of span_density_by_series and of the cycle-sum density (both
   on the alternating-sum grid kernel), cut where the tail rate leaves about
@@ -98,6 +102,18 @@ def p_n_by_digits(params: ModelParams, x, n: int = 0, dps: int = 80):
         for i in range(int(ctx.floor(x / eps)) - n + 1)
     )
     return ctx.fsum(terms) / ctx.factorial(n)
+
+
+def circle_by_digits(params: ModelParams, length: float, n: int, dps: int = 80):
+    """P(n clusters on a circle of circumference length), at dps digits (an mpf)."""
+    ctx = mpmath.MPContext()
+    ctx.dps = dps
+    lam, eps, length = ctx.mpf(params.intensity), ctx.mpf(params.radius), ctx.mpf(length)
+    a = lam * ctx.exp(-lam * eps)
+    before = p_n_by_digits(params, length - eps, max(n - 1, 0), dps)  # L - eps an mpf, not a double
+    if n == 0:
+        return p_n_by_digits(params, length, 0, dps) - a * eps * before
+    return length * a * before / n
 
 
 def span_density_by_digits(params: ModelParams, x: float, dps: int = 80):

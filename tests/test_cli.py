@@ -223,13 +223,14 @@ def test_usage_error_exits_two():
         with pytest.raises(SystemExit) as info:
             main(["density", "--law", "B", "--lambda", "1", "--epsilon", "1", "--points", points])
         assert info.value.code == 2
-    # integer flags are parsed by argparse, so a bad value is a usage error
-    # before anything is computed
+    # integer flags and choices are parsed by argparse, so a bad value is a
+    # usage error before anything is computed
     for argv in (
         "moments --lambda 1 --epsilon 1 --length 4 --m 0",
         "moments --lambda 1 --epsilon 1 --length 4 --m=-2",
         "density --law U --lambda 1 --epsilon 1 --n abc",
         "density --law U --lambda 1 --epsilon 1 --n 0",
+        "density --law b --lambda 1 --epsilon 1",
         "simulate --scenario u-law --lambda 1 --epsilon 1 --length 4 --n x",
         "simulate --scenario complete --lambda 1 --epsilon 1 --length 4 --samples 0",
         "simulate --scenario complete --lambda 1 --epsilon 1 --length 4 --jobs 0",

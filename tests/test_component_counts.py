@@ -38,7 +38,7 @@ from clusterline import (
     var_critical_points,
 )
 from clusterline._pn import count_prob
-from oracles import coverage_by_quadrature, incomplete_by_convolution, p_n_by_digits
+from oracles import circle_by_digits, coverage_by_quadrature, incomplete_by_convolution, p_n_by_digits
 
 E = math.e
 
@@ -160,6 +160,22 @@ class TestPmfCompleteTable:
         with pytest.raises(NormalizationError, match="entry 0 is not finite"), warnings.catch_warnings():
             warnings.simplefilter("ignore")
             pmf_complete_table(bad)
+
+    def test_digit_pass_past_the_doubles_reports_infinite_estimate(self, monkeypatch):
+        # the 30-digit value converts to inf here and its mass is capped at
+        # 1e300, so ulp * mass / |value| would read 0
+        bad = IntervalModel(ModelParams(30.0, 0.01), 50.0)
+        for pmf in (pmf_complete, pmf_circle):
+            with pytest.warns(cl.PrecisionWarning) as caught:
+                assert math.isnan(pmf(bad, 0))
+            assert [w.message.estimate for w in caught] == [math.inf], pmf.__name__
+        # the incomplete law does the same at this model, but its 30-digit G
+        # table over a support of 5001 takes over a minute: stand in for that
+        # pass where the double pass escalates at once
+        monkeypatch.setattr(cl.component_counts, "_incomplete_mp", lambda *a: (math.inf, 1e300))
+        with pytest.warns(cl.PrecisionWarning) as caught:
+            assert math.isnan(pmf_incomplete(IntervalModel(ModelParams(2.0, 1.0), 6.5), 0))
+        assert [w.message.estimate for w in caught] == [math.inf]
 
     def test_precision_warning_carries_estimate(self):
         # far outside every documented regime; even the deepest fallback
@@ -432,6 +448,29 @@ class TestPmfCircle:
         model = unit_model()
         for n in range(5, 12):
             assert pmf_circle(model, n) == 0.0
+
+    def test_underflowed_rate_is_one_wrapping_cluster(self):
+        # lam e^{-lam eps} underflows to 0 in doubles at lam eps = 1000, so
+        # the double pass cannot form its lowered n = 0 term; a digit pass does
+        model = IntervalModel(ModelParams(1000.0, 1.0), 4.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", cl.PrecisionWarning)
+            assert pmf_circle_table(model).probs == (1.0, 0.0, 0.0, 0.0, 0.0)
+
+    def test_matches_digit_oracle_in_relative_terms(self):
+        # the conditional-Poisson check above is absolute, so it cannot see
+        # tail entries; here every entry above 1e-300 is held to 1e-9
+        # relative, including P(C = 0) where it is small and cancels most
+        small_zero = 0
+        for model in random_models(40, seed=23):
+            params, length = model.params, model.length
+            for n, p in enumerate(pmf_circle_table(model).probs):
+                exact = float(circle_by_digits(params, length, n))
+                if n == 0 and exact < 1e-6:
+                    small_zero += 1
+                if p > 1e-300 or exact > 1e-300:
+                    assert p == pytest.approx(exact, rel=1e-9, abs=0.0), (params, length, n)
+        assert small_zero > 0
 
 
 class TestRandomModelInvariants:

@@ -16,7 +16,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 FROM_RUN_RECORDS = ("mc_engine.reps_per_s", "mc_engine.us_per_rep.", "cli.", "trace.overhead_frac")
-RETIRED_HOOKS = {"_pn.count_prob_deriv", "cluster_laws.span_tail_rate", "mc_engine._RngPool.reset"}
+RETIRED_HOOKS = {
+    "_pn.count_prob_deriv",
+    "cluster_laws.span_tail_rate",
+    "component_counts._circle_mp",
+    "mc_engine._RngPool.reset",
+}
 
 
 def test_every_declared_metric_has_its_hooks():
