@@ -20,29 +20,40 @@ With ``lag=1`` every exponent is one lower and both sums are scaled by x a,
 a = lam e^{-lam eps}: that is the cluster count on a circle of circumference
 x, x a p_{n-1}(x - eps) / n for n >= 1 and p_0(x) - a eps p_0(x - eps) at 0.
 
-``count_prob_steps`` solves the delay equation p_n'(x) = a [p_{n-1}(x - eps)
-- p_n(x - eps)], a = lam e^{-lam eps}, p_n = delta_{n0} on [0, eps], by the
-method of steps: on step j (x = eps (j + t), 0 <= t <= 1) each p_n is a
-polynomial in t, one integration of the last step's. Nothing cancels. Its
-t^m coefficient is G_m v_{j-m}, where v_i holds the profile at i eps and the
-lag matrix G_m = (a eps)^m / m! (S - I)^m is filled from a binomial table;
-each coefficient is formed once per step, and each point runs Horner's rule
-over its own step's coefficients.
-``count_prob_deriv_grid`` reads p_n' off the same equation, so the span
-CDF and its density share that one kernel. ``count_prob_grid`` sums the
-alternating series over an array in plain doubles; it backs the Laplace
-check, whose quadrature must stay independent of the kernel, and the tests'
-oracles.
+The method of steps solves the delay equation p_n'(x) = a [p_{n-1}(x - eps)
+- p_n(x - eps)], a = lam e^{-lam eps}, p_n = delta_{n0} on [0, eps]: on step
+j (x = eps (j + t), 0 <= t <= 1) each p_n is a polynomial in t, one
+integration of the last step's. Nothing cancels. Its t^m coefficient is
+G_m v_{j-m}, where v_i holds the profile at i eps and the lag matrix
+G_m = (a eps)^m / m! (S - I)^m has the binomial entries
+g(m, l) = (a eps)^m / m! (-1)^(m - l) C(m, l) on its l-th subdiagonal.
+One _StepTable per (lam, eps, width) holds the lattice values v_i in plain
+arrays, each new one a few C-level dot products of the g(m, l) with the
+older values, and is cached and extended on demand, so every reader of a
+model shares its builds. ``count_prob_at`` reads one point off it without
+numpy and with no tail stop; ``count_prob_steps`` reads an array of points
+with numpy, Horner's rule per point over its step's coefficients, and reads
+0 past the table's 2^-60 tail stop. ``count_prob_deriv_grid`` reads p_n'
+off the same equation, so the span CDF and its density share that one
+kernel. ``count_prob_grid`` sums the alternating series over an array in
+plain doubles; it backs the Laplace check, whose quadrature must stay
+independent of the kernel, and the tests' oracles.
 
-The scalar series needs only math (and mpmath for digit passes); the three
-array kernels import numpy when called, so the scalar path runs without it.
+The scalar series and count_prob_at need only math (and mpmath for digit
+passes); the three array kernels import numpy when called, so the scalar
+paths run without it.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from array import array
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate, repeat
+from operator import add, mul
 from typing import TYPE_CHECKING, Callable
 
 from .errors import CapacityError
@@ -58,11 +69,17 @@ FLOOR_SLACK = 1e-12
 _TAIL_CUTOFF = 1e-18
 _LOG_UNDERFLOW = -760.0
 
-# Method of steps: coefficient m is at most (2 a eps)^m / m!, a eps <= 1/e, so
-# under 3e-29 past degree 24. Steps stop once P(N <= n_max) < 2^-60.
-_STEP_DEGREE = 24
+# Method of steps: the lag rows of the t^m coefficient sum to at most
+# (2 a eps)^m / m!, and a table drops the m where that is under _STEP_DROP:
+# degree 25 where a eps is near its peak 1/e (lam eps = 1), 12 at lam eps = 6.
+# A table's tail stop is its first step with P(N <= n_max) < 2^-60. One table
+# holds at most STEP_TABLE_BUDGET values; tables of other models are kept
+# while all of them hold at most _CACHE_VALUES (a bound of 2^19 let the
+# tables of past models add 10 MB to a process that reads many models).
+_STEP_DROP = 3e-29
 _STEP_TAIL = 2.0**-60
 STEP_TABLE_BUDGET = 1 << 19
+_CACHE_VALUES = 1 << 16
 
 
 def floor_ratio(x: float, eps: float) -> int:
@@ -187,33 +204,145 @@ def _pn_sum(ar: NumberSystem, lam: float, eps: float, x: float, n: int, lag: int
     return scale * ar.total(terms), scale * ar.total(map(abs, terms))
 
 
-def _step_lags(h: float, width: int) -> np.ndarray:
-    """The lag matrices G_m = h^m / m! (S - I)^m, m <= _STEP_DEGREE, shape
-    (_STEP_DEGREE + 1, width, width): entry (i, i - k) of G_m is
-    h^m / m! (-1)^(m - k) C(m, k), and every entry above the diagonal is 0.
-    """
-    import numpy as np
+class _StepTable:
+    """p_0..p_{width-1} at the lattice points j eps of one model, by the method
+    of steps, extended on demand.
 
-    deg = _STEP_DEGREE
-    scale = [h**m / math.factorial(m) for m in range(deg + 1)]
-    lags, rows = np.zeros((deg + 1, width, width)), np.arange(width)
-    for k in range(min(deg, width - 1) + 1):
-        band = [scale[m] * (-1) ** (m - k) * math.comb(m, k) for m in range(deg + 1)]
-        lags[:, rows[k:], rows[: width - k]] = np.array(band)[:, None]
-    return lags
+    ``columns[k][degree + j]`` holds p_k(j eps), after ``degree`` zeros for the
+    steps before 0, and ``lags[l]`` the lag coefficients
+    g(m, l) = h^m / m! (-1)^(m - l) C(m, l), h = a eps, for m = degree down to
+    l: the t^m coefficient of p_k on step j is sum_l g(m, l) p_{k-l}((j - m) eps),
+    so each lattice value is a few dot products of a ``lags`` row with a slice
+    of a column. ``degree`` is the smallest d with (2h)^(d+1) / (d+1)! <
+    _STEP_DROP, a bound on every dropped coefficient's row sum. ``stop`` is
+    the first step where sum_k p_k < 2^-60, once built.
+    """
+
+    __slots__ = ("degree", "lags", "columns", "steps", "stop", "last_read")
+
+    def __init__(self, h: float, width: int):
+        degree = 0
+        while (2.0 * h) ** (degree + 1) / math.factorial(degree + 1) >= _STEP_DROP:
+            degree += 1
+        scale = [h**m / math.factorial(m) for m in range(degree + 1)]
+        self.degree = degree
+        self.lags = [
+            [scale[m] * (-1) ** (m - l) * math.comb(m, l) for m in range(degree, l - 1, -1)]
+            for l in range(min(degree, width - 1) + 1)
+        ]
+        self.columns = [array("d", [0.0] * degree + [float(k == 0)]) for k in range(width)]
+        self.steps = 0
+        self.stop = None
+        self.last_read = (-1, None)  # (j, t^m coefficients of p_{width-1} on step j), for count_prob_at
+
+    def size(self) -> int:
+        """Doubles held, each lag coefficient (a float in a list) counted as four."""
+        return len(self.columns) * len(self.columns[0]) + 4 * sum(map(len, self.lags))
+
+    def extend(self, steps: int, stop: bool) -> None:
+        """Build through step ``steps``, or only to the tail stop if ``stop``."""
+        d, columns = self.degree, self.columns
+        for column in columns:  # drop what an interrupted build appended
+            del column[d + self.steps + 1 :]
+        # p_k(j eps) = sum_l sum_m g(m, l) p_{k-l}((j - 1 - m) eps), oldest first;
+        # the row of l is d - l + 1 long, so map stops inside the window
+        plan = [(column, [(self.lags[l], k - l) for l in range(min(d, k) + 1)]) for k, column in enumerate(columns)]
+        for j in range(self.steps + 1, steps + 1):
+            if stop and self.stop is not None:
+                break
+            windows = [column[j - 1 : d + j] for column in columns]
+            total = 0.0
+            for column, terms in plan:
+                value = 0.0
+                for lag, source in terms:
+                    value += sum(map(mul, lag, windows[source]))
+                column.append(value)
+                total += value
+            self.steps = j
+            if self.stop is None and total < _STEP_TAIL:
+                self.stop = j
+
+
+class _StepTables:
+    """One _StepTable per (lam, eps, width). Once the tables hold over
+    _CACHE_VALUES values together, the least recently used go, down to the
+    one just read."""
+
+    def __init__(self):
+        self._tables: OrderedDict[tuple[float, float, int], _StepTable] = OrderedDict()
+        self._values = 0
+        self._lock = threading.Lock()
+        self._last = (None, None)  # the most recently used (key, table)
+
+    def get(self, lam: float, eps: float, width: int, steps: int, stop: bool) -> _StepTable:
+        """The model's table built through step ``steps`` (to its tail stop, if ``stop``)."""
+        key = (lam, eps, width)
+        last_key, table = self._last
+        if key == last_key and (steps <= table.steps or stop and table.stop is not None):
+            return table  # already last in the LRU order, and long enough
+        with self._lock:
+            table = self._tables.get(key)
+            if table is None:
+                table = self._tables[key] = _StepTable(lam * math.exp(-lam * eps) * eps, width)
+                self._values += table.size()
+            else:
+                self._tables.move_to_end(key)
+            if steps > table.steps:
+                before = table.size()
+                table.extend(steps, stop)
+                self._values += table.size() - before
+            while self._values > _CACHE_VALUES and len(self._tables) > 1:
+                self._values -= self._tables.popitem(last=False)[1].size()
+            self._last = (key, table)
+            return table
+
+    def clear(self) -> None:
+        with self._lock:
+            self._tables.clear()
+            self._values = 0
+            self._last = (None, None)
+
+
+_STEP_TABLES = _StepTables()
+
+
+def count_prob_at(lam: float, eps: float, x: float, n: int) -> float:
+    """p_n(x) off the model's step table, with no tail stop, and without numpy:
+    on step j (x = eps (j + t)) it is the dot product of t^m with the step's
+    coefficients c_m = sum_l g(m, l) p_{n-l}((j - m) eps). The coefficients of
+    the step read last are kept, so a grid read in order forms them once per
+    step.
+
+    Raises:
+        CapacityError: Before building, for x past STEP_TABLE_BUDGET / (n + 1) steps.
+    """
+    if x <= 0.0:
+        return 1.0 if n == 0 else 0.0
+    u, limit = x / eps, STEP_TABLE_BUDGET // (n + 1)
+    if not u < limit + 1:
+        raise CapacityError(f"p_{n} at x = {x:g} needs over {limit} steps of eps = {eps:g} (STEP_TABLE_BUDGET)")
+    j = math.floor(u)
+    table = _STEP_TABLES.get(lam, eps, n + 1, j, False)
+    d = table.degree
+    read_j, coefs = table.last_read
+    if read_j != j:  # a grid read in order holds a few points per step
+        lags, columns = table.lags, table.columns
+        coefs = list(map(mul, lags[0], columns[n][j : d + j + 1]))  # m = d .. 0
+        for l in range(1, min(d, n) + 1):
+            coefs[: d - l + 1] = map(add, coefs, map(mul, lags[l], columns[n - l][j : d + j - l + 1]))
+        table.last_read = (j, coefs)
+    return sum(map(mul, accumulate(repeat(u - j, d), mul, initial=1.0), reversed(coefs)))
 
 
 def count_prob_steps(lam: float, eps: float, xs, n_max: int) -> np.ndarray:
     """p_0..p_{n_max} at xs by the method of steps, shape (n_max + 1, *xs.shape).
 
-    With v_i = (p_0..p_{n_max})(i eps), zero before step 0, the coefficient
-    of t^m on step j is G_m v_{j-m}, G_m = (a eps)^m / m! (S - I)^m with S
-    the shift from count n - 1 to n (``_step_lags``). Each coefficient is
-    formed once per step, up to the last step that holds a point; each point
-    then runs Horner's rule over its step's coefficients, gathering one
-    coefficient at a time, so memory stays O(N (n_max + 1)) for N points.
-    Points past the first step where sum_k p_k < 2^-60 read 0, as
-    P(N(x) <= n_max) does not increase.
+    The lattice values come from the model's cached step table, built up to
+    the last step that holds a point or to its tail stop; each point then runs
+    Horner's rule over its step's t^m coefficients, gathering one coefficient
+    at a time, so memory stays O(N (n_max + 1)) for N points. Points past the
+    first step where sum_k p_k < 2^-60 read 0, as P(N(x) <= n_max) does not
+    increase.
 
     Raises:
         CapacityError: For a point past STEP_TABLE_BUDGET / (n_max + 1) steps
@@ -222,37 +351,29 @@ def count_prob_steps(lam: float, eps: float, xs, n_max: int) -> np.ndarray:
     import numpy as np
 
     xs = np.asarray(xs, dtype=float)
-    u, width, deg = xs.ravel() / eps, n_max + 1, _STEP_DEGREE
-    h = lam * math.exp(-lam * eps) * eps
-    lags = _step_lags(h, width)
+    u, width = xs.ravel() / eps, n_max + 1
     step = np.maximum(np.floor(u), 0.0)  # nan stays nan
     top, limit = np.nanmax(step, initial=0.0), STEP_TABLE_BUDGET // width
     # p_0(x) >= e^{-lam x} (no point in [0, x]) and >= 1 - a x (p_0' >= -a): no stop
     # by step `limit` if lam eps limit < 60 ln 2 or a eps limit < 1/2, so raise unbuilt
+    h = lam * math.exp(-lam * eps) * eps
     unreachable = lam * eps * limit < 60.0 * math.log(2.0) or h * limit < 0.5
     steps = 0 if top > limit and unreachable else int(min(top, limit))
-    weights = lags[::-1].transpose(1, 0, 2).reshape(width, -1)  # v_j = sum_m G_m v_{j-1-m}, oldest first
-    flat = np.zeros((deg + 1 + steps) * width)  # calloc: pages past the stop stay untouched
-    flat[deg * width] = 1.0
-    values, stop = flat.reshape(-1, width), np.inf
-    for j in range(1, steps + 1):
-        np.dot(weights, flat[(j - 1) * width : (j + deg) * width], out=values[deg + j])
-        if values[deg + j].sum() < _STEP_TAIL:
-            stop = j
-            break
-    if stop == np.inf and top > limit:
+    table = _STEP_TABLES.get(lam, eps, width, steps, True)
+    if table.stop is None and top > limit:
         raise CapacityError(f"p_0..p_{n_max} at x = {top * eps:g} needs over {limit} steps of eps = {eps:g} (STEP_TABLE_BUDGET)")
-    beyond = step >= stop
+    deg, lags = table.degree, table.lags
+    beyond = step >= (np.inf if table.stop is None else table.stop)
     index = np.where(beyond | np.isnan(step), 0.0, step).astype(np.intp)
     t = np.clip(u - index, 0.0, 1.0)
     rows = int(index.max(initial=0)) + 1  # steps 0..rows-1 hold every point
-    table = values[: deg + rows].T.copy()  # count n's step values, one contiguous row per n
+    values = np.array([column[: deg + rows] for column in table.columns])  # count n's step values, one row per n
     coef, term, acc = np.empty((width, rows)), np.empty((width, u.size)), np.zeros((width, u.size))
     for m in range(deg, -1, -1):  # Horner's rule, one coefficient at a time
-        lagged = table[:, deg - m : deg - m + rows]  # v_{j-m} for steps j < rows
-        np.multiply(lags[m, 0, 0], lagged, out=coef)  # G_m v: G_m is constant along each subdiagonal
+        lagged = values[:, deg - m : deg - m + rows]  # v_{j-m} for steps j < rows
+        np.multiply(lags[0][deg - m], lagged, out=coef)  # G_m v: G_m is constant along each subdiagonal
         for k in range(1, min(m, width - 1) + 1):
-            coef[k:] += lags[m, k, 0] * lagged[:-k]
+            coef[k:] += lags[k][deg - m] * lagged[:-k]
         acc *= t
         acc += np.take(coef, index, axis=1, out=term, mode="wrap")  # index < rows: skip the bounds check
     acc[:, beyond] = 0.0

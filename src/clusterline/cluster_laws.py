@@ -11,7 +11,10 @@ plain densities.
 The span and cycle-sum CDFs are finite sums of the method-of-steps profile
 p_n (_pn.count_prob_steps) by the renewal identities, with no quadrature,
 and the span density is the span CDF's derivative, with p0' from the delay
-equation on the same kernel. The transforms are written in the paper's
+equation on the same kernel. The cycle-sum density is a p_{n-1}(x - eps),
+read point by point off the same step table with no tail stop
+(_pn.count_prob_at), so it needs no numpy. All of them share one cached
+step table per model and width. The transforms are written in the paper's
 variable c = lam e^{-(lam + s) eps}, which underflows where e^{(lam + s) eps}
 would overflow.
 """
@@ -23,7 +26,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from ._pn import count_prob, count_prob_deriv_grid, count_prob_steps
+from ._pn import count_prob_at, count_prob_deriv_grid, count_prob_steps
 
 if TYPE_CHECKING:  # the density and CDF closures import numpy when called
     import numpy as np
@@ -160,15 +163,17 @@ def cycle_sum_density(params: ModelParams, n: int, x: float) -> float:
     """Density of the sum of n cycles at x.
 
     Equals lam e^{-lam eps} p_{n-1}(x - eps) above the radius and zero at
-    or below it.
+    or below it, with p_{n-1} read off the model's step table with no tail
+    stop (_pn.count_prob_at), so it stays relative far into the tail and
+    needs no numpy. Raises CapacityError, before building, for x past
+    STEP_TABLE_BUDGET / n steps of the radius.
     """
     if n < 1:
         raise ValueError(f"cycle count must be positive, got {n}")
     lam, eps = params.intensity, params.radius
     if x <= eps:
         return 0.0
-    value, _ = count_prob(lam, eps, x - eps, n - 1)
-    return max(0.0, lam * math.exp(-lam * eps) * value)
+    return lam * math.exp(-lam * eps) * count_prob_at(lam, eps, x - eps, n - 1)
 
 
 def cluster_length_cdf(params: ModelParams) -> Callable:

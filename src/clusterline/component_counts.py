@@ -136,6 +136,10 @@ def pmf_incomplete(model: IntervalModel, n: int) -> float:
 
     A cluster counts as soon as any of its points lies in the interval,
     so the support extends one step past the complete-count bound.
+
+    Raises:
+        CapacityError: Before any work, for an n inside a support
+            floor(length / radius) + 1 above INCOMPLETE_SUPPORT_BUDGET.
     """
     if n < 0:
         raise ValueError(f"count must be non-negative, got {n}")
@@ -144,6 +148,11 @@ def pmf_incomplete(model: IntervalModel, n: int) -> float:
     upper = floor_ratio(L, eps) + 1
     if n > upper:
         return 0.0
+    if upper > INCOMPLETE_SUPPORT_BUDGET:
+        raise CapacityError(
+            f"incomplete-count support {upper} exceeds INCOMPLETE_SUPPORT_BUDGET = {INCOMPLETE_SUPPORT_BUDGET}; "
+            "its cost is quadratic in the support"
+        )
 
     value, mass = _incomplete_sum(DOUBLES, lam, eps, L, n, upper)
     return _finish_pmf(
@@ -271,16 +280,12 @@ def pmf_incomplete_table(model: IntervalModel) -> DistributionTable:
     """Full incomplete-count pmf for n = 0..floor(length / radius) + 1.
 
     Raises:
-        CapacityError: Before any work, if floor(length / radius) + 1
-            exceeds INCOMPLETE_SUPPORT_BUDGET.
+        CapacityError: Before any work (its first entry, pmf_incomplete,
+            raises), if floor(length / radius) + 1 exceeds
+            INCOMPLETE_SUPPORT_BUDGET.
         NormalizationError: As pmf_complete_table.
     """
     support = floor_ratio(model.length, model.params.radius) + 1
-    if support > INCOMPLETE_SUPPORT_BUDGET:
-        raise CapacityError(
-            f"incomplete-count table support {support} exceeds INCOMPLETE_SUPPORT_BUDGET = {INCOMPLETE_SUPPORT_BUDGET}; "
-            "its cost is quadratic in the support"
-        )
     return _build_table(lambda n: pmf_incomplete(model, n), support, "incomplete-count")
 
 

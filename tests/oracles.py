@@ -9,6 +9,8 @@ None of them imports the kernel it checks:
   law's density, the renewal CDF's derivative on the method-of-steps profile;
 - p_n_by_digits and span_density_by_digits: the alternating sum and the
   renewal density at 80 digits in mpmath, sharing no code with the package;
+- cycle_sum_density_by_digits: the cycle-sum density a p_{n-1}(x - eps) from
+  p_n_by_digits. It checks cycle_sum_density, which reads the step table;
 - circle_by_digits: the circle count from p_n_by_digits, L a p_{n-1}(L - eps)
   / n for n >= 1 and p_0(L) - a eps p_0(L - eps) at n = 0, with L - eps
   formed at the oracle's precision. It checks pmf_circle, which sums the
@@ -102,6 +104,17 @@ def p_n_by_digits(params: ModelParams, x, n: int = 0, dps: int = 80):
         for i in range(int(ctx.floor(x / eps)) - n + 1)
     )
     return ctx.fsum(terms) / ctx.factorial(n)
+
+
+def cycle_sum_density_by_digits(params: ModelParams, x: float, n: int, dps: int = 120):
+    """The n-cycle-sum density a p_{n-1}(x - eps), a = lam e^{-lam eps}, at dps
+    digits (an mpf); x - eps is formed in doubles, as the package forms it."""
+    ctx = mpmath.MPContext()
+    ctx.dps = dps
+    if x <= params.radius:
+        return ctx.mpf(0)
+    lam, eps = ctx.mpf(params.intensity), ctx.mpf(params.radius)
+    return lam * ctx.exp(-lam * eps) * ctx.mpf(p_n_by_digits(params, x - params.radius, n - 1, dps))
 
 
 def circle_by_digits(params: ModelParams, length: float, n: int, dps: int = 80):

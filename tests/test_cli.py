@@ -16,7 +16,7 @@ import pytest
 import clusterline
 from clusterline import ModelParams, mean_cluster_length
 from clusterline.cli import GRID_MAX_POINTS, _linspace, _parse_grid, main
-from oracles import span_density_by_digits
+from oracles import cycle_sum_density_by_digits, span_density_by_digits
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -62,9 +62,19 @@ def test_density_b_golden_prints_true_digits():
     assert [row[2] for row in rows] == [format(float(span_density_by_digits(p, x)), ".9g") for x in xs]
 
 
+def test_density_u2_golden_prints_true_digits():
+    # each row is e^{-1} p_1(x - 1), the 120-digit alternating sum, rounded to 9 digits
+    p = ModelParams(1.0, 1.0)
+    xs = np.linspace(p.radius, p.radius + 20.0 * (mean_cluster_length(p) + 1.0), 12)
+    with open(GOLDEN_DIR / "density_u2.csv", newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row[0] == "density"]
+    assert [row[1] for row in rows] == [format(x, ".9g") for x in xs]
+    assert [row[2] for row in rows] == [format(float(cycle_sum_density_by_digits(p, x, 2, dps=120)), ".9g") for x in xs]
+
+
 def test_density_past_the_step_budget_exits_one_promptly(capsys):
     # lam eps = 20: the kernel cannot reach the grid's end within its budget
-    # and raises before it builds a step (2^19 steps take about 2 s)
+    # and raises before it builds a step (2^19 steps take about 1 s)
     start = time.perf_counter()
     assert main("density --law B --lambda 1 --epsilon 20".split()) == 1
     assert time.perf_counter() - start < 1.0

@@ -28,10 +28,20 @@ from clusterline import (
     pmf_complete,
     QuadratureSpec,
 )
-from clusterline._pn import _STEP_DEGREE, _step_lags, count_prob_steps
+from clusterline import _pn
+from clusterline._pn import (
+    _CACHE_VALUES,
+    _STEP_DROP,
+    _STEP_TABLES,
+    STEP_TABLE_BUDGET,
+    _StepTable,
+    count_prob_at,
+    count_prob_steps,
+)
 from clusterline.quadrature import integrate_adaptive
 from oracles import (
     cycle_sum_cdf_by_quadrature,
+    cycle_sum_density_by_digits,
     p_n_by_digits,
     span_cdf_by_quadrature,
     span_density_by_digits,
@@ -228,6 +238,15 @@ class TestCycleSumDensity:
         with pytest.raises(ValueError):
             cycle_sum_density(ModelParams(1.0, 1.0), 0, 2.0)
 
+    @pytest.mark.parametrize("lam_eps", [0.5, 1.0, 2.0, 4.0, 6.0])
+    def test_matches_the_oracle_to_twenty_mean_cycles(self, lam_eps):
+        # the raw alternating sum was off by up to 2.5e10 relative on such grids
+        p = ModelParams(1.0, lam_eps)
+        mean_cycle = mean_cluster_length(p) + 1.0 / p.intensity
+        for x in np.linspace(p.radius, p.radius + 20.0 * mean_cycle, 41)[1:]:
+            true = cycle_sum_density_by_digits(p, float(x), 2)
+            assert abs(cycle_sum_density(p, 2, float(x)) - true) <= 1e-13 * true, x
+
 
 class TestTransformAgainstSimulation:
     def test_span_transform_matches_sample_mean(self):
@@ -328,26 +347,43 @@ class TestStepsKernel:
         for i in alone:
             assert count_prob_steps(1.0, 1.0, xs[i : i + 1], n_max).tobytes() == whole[:, i].tobytes(), xs[i]
 
+    @staticmethod
+    def lag_matrices(table: _StepTable, width: int) -> np.ndarray:
+        """G_m = h^m / m! (S - I)^m for m <= the table's degree, from its lag rows:
+        entry (i, i - l) of G_m is g(m, l), stored at lags[l][degree - m]."""
+        d, rows = table.degree, np.arange(width)
+        lags = np.zeros((d + 1, width, width))
+        for l, row in enumerate(table.lags):
+            lags[l:, rows[l:], rows[: width - l]] = np.array(row[::-1])[:, None]
+        return lags
+
     @pytest.mark.parametrize("lam_eps", [0.25, 0.5, 1.0])
     @pytest.mark.parametrize("width", [1, 2, 3, 4])
     def test_lag_table_matches_matrix_powers(self, lam_eps, width):
         h = lam_eps * math.exp(-lam_eps)
+        table = _StepTable(h, width)
         diff = h * (np.eye(width, k=-1) - np.eye(width))
-        powers = np.stack([np.linalg.matrix_power(diff, m) / math.factorial(m) for m in range(_STEP_DEGREE + 1)])
-        np.testing.assert_array_max_ulp(_step_lags(h, width), powers, maxulp=4)
+        powers = np.stack([np.linalg.matrix_power(diff, m) / math.factorial(m) for m in range(table.degree + 1)])
+        np.testing.assert_array_max_ulp(self.lag_matrices(table, width), powers, maxulp=4)
 
     @pytest.mark.parametrize("lam_eps", [0.5, 1.0, 2.0, 4.0, 6.0])
     def test_lag_table_is_the_binomial_table_to_three_ulp(self, lam_eps):
         # at lam eps >= 2 the repeated squarings of matrix_power are
         # themselves 5 to 8 ulp from the exact entries
         h = lam_eps * math.exp(-lam_eps)
-        lags = _step_lags(h, 6)
-        for m in range(_STEP_DEGREE + 1):
+        table = _StepTable(h, 6)
+        d, lags = table.degree, self.lag_matrices(table, 6)
+        for m in range(d + 1):
             for i in range(6):
                 for j in range(6):
                     k = i - j
                     exact = Fraction(h) ** m / math.factorial(m) * (-1) ** (m - k) * math.comb(m, k) if 0 <= k <= m else 0
                     assert abs(Fraction(lags[m, i, j]) - exact) <= 3 * Fraction(np.spacing(abs(float(exact)))), (m, i, j)
+        # the degree is the first whose dropped rows all sum to under 3e-29:
+        # every lag row of G_m sums to at most (2h)^m / m!
+        row_bound = lambda m: (2 * Fraction(h)) ** m / math.factorial(m)  # noqa: E731
+        assert row_bound(d) >= Fraction(_STEP_DROP) > row_bound(d + 1)
+        assert all(row_bound(m) < Fraction(_STEP_DROP) for m in range(d + 1, d + 60))
 
     @pytest.mark.parametrize("points,n_max", [(40_000, 0), (20_000, 2)])
     def test_peak_memory_is_a_few_rows_of_points(self, points, n_max):
@@ -362,6 +398,76 @@ class TestStepsKernel:
         finally:
             tracemalloc.stop()
         assert peak < 3e6
+
+
+class TestStepTables:
+    """The cached per-model step tables that the CDFs, the span density and
+    the cycle-sum density share."""
+
+    @pytest.mark.parametrize("lam_eps", [0.5, 1.0, 6.0])
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_a_table_extended_in_pieces_is_the_table_built_at_once(self, lam_eps, width):
+        h = lam_eps * math.exp(-lam_eps)
+        whole, pieces = _StepTable(h, width), _StepTable(h, width)
+        whole.extend(600, False)
+        for steps in (1, 2, 17, 18, 300, 599, 600):
+            pieces.extend(steps, False)
+        assert whole.steps == pieces.steps == 600 and whole.stop == pieces.stop
+        assert [column.tobytes() for column in pieces.columns] == [column.tobytes() for column in whole.columns]
+
+    def test_reads_do_not_depend_on_how_the_table_grew(self):
+        p = ModelParams(0.8, 1.5)
+        xs = np.linspace(0.0, 120.0, 301)
+        _STEP_TABLES.clear()
+        grown = [cycle_sum_density(p, 2, float(x)).hex() for x in xs]  # one step at a time
+        _STEP_TABLES.clear()
+        cycle_sum_density(p, 2, float(xs[-1]))  # every step at once
+        assert [cycle_sum_density(p, 2, float(x)).hex() for x in xs] == grown
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_cdf_bits_do_not_depend_on_a_density_extending_the_table(self, n):
+        # lam = eps = 1: the tables stop at steps 47 to 65, and the densities
+        # extend them to step 149
+        p = ModelParams(1.0, 1.0)
+        xs = np.linspace(0.0, 80.0, 2001)
+        _STEP_TABLES.clear()
+        alone = [cycle_sum_cdf(p, n)(xs).tobytes(), cluster_length_cdf(p)(xs).tobytes()]
+        _STEP_TABLES.clear()
+        cycle_sum_density(p, n, 150.0)
+        cycle_sum_density(p, 1, 150.0)
+        assert [cycle_sum_cdf(p, n)(xs).tobytes(), cluster_length_cdf(p)(xs).tobytes()] == alone
+
+    def test_the_cache_holds_at_most_its_budget(self, monkeypatch):
+        # budgets cut 32-fold, as tracemalloc slows the builds about 13-fold:
+        # 200 models of about 230 values each, then four of 10 001 values
+        # (lam eps >= 20: degree 3), so without eviction the cache would
+        # hold about 520 kB and then 850 kB
+        monkeypatch.setattr(_pn, "STEP_TABLE_BUDGET", STEP_TABLE_BUDGET // 32)
+        monkeypatch.setattr(_pn, "_CACHE_VALUES", _CACHE_VALUES // 32)
+        _STEP_TABLES.clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(200):
+                count_prob_at(20.0 + i / 64, 1.0, 100.0, 1)
+            small = tracemalloc.get_traced_memory()[0] - before
+            for lam in (20.0, 21.0, 22.0, 23.0):
+                count_prob_at(lam, 1.0, 1e4, 0)
+            large = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            _STEP_TABLES.clear()
+        # 8 bytes a value, up to an eighth more for the arrays' growth, and
+        # the headers of the tables kept
+        assert small < 1.125 * 8 * _pn._CACHE_VALUES + 32 * 1024
+        assert large < 1.125 * 8 * _pn.STEP_TABLE_BUDGET + 32 * 1024
+
+    def test_density_past_the_step_budget_raises_before_building(self):
+        # 1e6 steps of eps = 1e-6 against 2^19 / 2 for the width-2 table
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match="STEP_TABLE_BUDGET"):
+            cycle_sum_density(ModelParams(1.0, 1e-6), 2, 1.0)
+        assert time.perf_counter() - start < 1.0
 
 
 RENEWAL_BANDS = [0.5, 1.0, 2.0, 4.0]

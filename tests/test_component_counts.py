@@ -378,6 +378,15 @@ class TestPmfIncomplete:
         with pytest.raises(CapacityError):
             pmf_incomplete_table(IntervalModel(ModelParams(1.0, 1.0), 512.0))
 
+    def test_one_count_past_the_budget_raises_before_any_work(self):
+        # support 5001: the double and 30-digit G tables took 86 s to return nan
+        model = IntervalModel(ModelParams(30.0, 0.01), 50.0)
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match="INCOMPLETE_SUPPORT_BUDGET"):
+            pmf_incomplete(model, 0)
+        assert time.perf_counter() - start < 1.0
+        assert pmf_incomplete(model, 5002) == 0.0  # above the support
+
     def test_dominates_complete_count(self):
         # every complete cluster is an incomplete cluster
         for model in random_models(60, seed=17):
@@ -491,6 +500,6 @@ class TestRandomModelInvariants:
                 reference = math.fsum(n**m * p for n, p in enumerate(table.probs))
                 value = moment_complete(model, m)
                 if reference > 1e-300:
-                    assert value == pytest.approx(reference, rel=1e-9)
+                    assert value == pytest.approx(reference, rel=1e-9, abs=0.0)
                 else:
                     assert value == pytest.approx(reference, abs=1e-12)
