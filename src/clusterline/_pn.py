@@ -10,11 +10,13 @@ The series is written once, over a NumberSystem: DOUBLES accumulates the
 alternating sum exactly with math.fsum, and digits(dps) sums it in order in
 mpmath at dps digits, which count_prob_mp re-runs for the 30/60/120-digit
 escalation. Either pass returns the sum of absolute terms alongside so
-callers can estimate cancellation. Terms are cut off early once a rigorous
-bound on the remaining tail drops below 1e-18 of the leading term
-(10^-(dps+20) of it at dps digits, and never below 1e-300); within the
-documented double-precision regime this changes nothing, and it keeps
-tiny-radius limits (floor(x/eps) in the millions) affordable.
+callers can estimate cancellation. Over the summed range the term bases
+b_k = (x - k eps) a are non-negative and non-increasing, so
+|t_{i+1}| <= |t_i| c / (i + 1) with c = x a, with lag=1 too: once
+c < (i + 1) / 2 the rest of the tail is below |t_i|. The sum stops at the
+first such term that is also below 1e-18 of the leading term (10^-(dps+20)
+of it at dps digits, and never below 1e-300), which keeps tiny-radius
+limits (floor(x/eps) in the millions) affordable.
 
 With ``lag=1`` every exponent is one lower and both sums are scaled by x a,
 a = lam e^{-lam eps}: that is the cluster count on a circle of circumference
@@ -87,16 +89,6 @@ def floor_ratio(x: float, eps: float) -> int:
     return int(math.floor(x / eps + FLOOR_SLACK))
 
 
-def _initial_bound(c: float, n: int, inv_nfact: float) -> float:
-    """c^n / n! without raising on overflow (inf disables early cutoff)."""
-    if c <= 0.0:
-        return inv_nfact
-    try:
-        return inv_nfact * c**n
-    except OverflowError:
-        return math.inf
-
-
 @dataclass(frozen=True)
 class NumberSystem:
     """What a count series computes in: doubles, or mpmath at some digits."""
@@ -106,7 +98,7 @@ class NumberSystem:
     total: Callable  # math.fsum, or an in-order sum whose digits absorb the rounding
     exp_partial: Callable  # sum_{j<=k} y^j / j!, compensated in doubles
     inv_fact: Callable  # i -> 1/i!
-    tail_cut: float  # the p_n sum stops once its tail bound is below this times its leading term
+    tail_cut: float  # the p_n sum stops at a term below this times its leading term, once the tail is below that term
     working_mass: bool  # incomplete mass counts the partial sums' working magnitude
 
 
@@ -186,7 +178,6 @@ def _pn_sum(ar: NumberSystem, lam: float, eps: float, x: float, n: int, lag: int
             return 0.0, 0.0
     inv_nfact = ar.inv_fact(n)
     terms, scale = [], x_n * a if lag else 1
-    bound = _initial_bound(c, n - lag, _inv_fact_double(n))  # |term i| <= c^(n+i-lag) / (n! i!)
     for i in range(i_max + 1):
         k = n + i
         b = (x_n - k * eps_n) * a
@@ -197,10 +188,8 @@ def _pn_sum(ar: NumberSystem, lam: float, eps: float, x: float, n: int, lag: int
         terms.append(-mag if i % 2 else mag)
         if i == 0:
             cut = max(ar.tail_cut * abs(float(mag)), 1e-300)  # relative to the leading term
-        else:
-            bound *= c / i
-            if c < 0.5 * (i + 1) and bound < cut:
-                break
+        if c < 0.5 * (i + 1) and abs(mag) < cut:  # the rest of the tail is below |term i|
+            break
     return scale * ar.total(terms), scale * ar.total(map(abs, terms))
 
 
@@ -401,7 +390,6 @@ def count_prob_grid(lam: float, eps: float, xs: np.ndarray, n: int) -> np.ndarra
         i_hi = floor_ratio(x_hi, eps) - n
         c = x_hi * a
         inv_nfact = _inv_fact_double(n)
-        bound = _initial_bound(c, n, inv_nfact)
         for i in range(max(i_hi, 0) + 1):
             k = n + i
             slack = (k * eps) * (1.0 - FLOOR_SLACK) if k > 0 else 0.0
@@ -412,10 +400,8 @@ def count_prob_grid(lam: float, eps: float, xs: np.ndarray, n: int) -> np.ndarra
             inv_ifact = _inv_fact_double(i)
             term = (np.maximum(b, 0.0) ** k if k > 0 else np.ones_like(b)) * (inv_nfact * inv_ifact)
             out[active] += -term if i % 2 else term
-            if i >= 1:
-                bound *= c / i
-                if c < 0.5 * (i + 1) and bound < _TAIL_CUTOFF:
-                    break
+            if c < 0.5 * (i + 1) and term.max() < _TAIL_CUTOFF:  # as in _pn_sum
+                break
         return out
 
 

@@ -217,7 +217,7 @@ def _sample(args):
     from .mc_engine import SampleConfig, estimate
 
     params = ModelParams(args.lam, args.epsilon)
-    config = SampleConfig(seed=args.seed, replications=args.samples, parallelism_hint=args.jobs)
+    config = SampleConfig(seed=args.seed, replications=args.samples)
     order = args.n or 1
     return params, args.scenario, order, estimate(params, args.scenario, args.length, config, cycle_order=order)
 
@@ -324,7 +324,6 @@ def _add_sampling(sub, samples_help: str) -> None:
     sub.add_argument("--scenario", type=_scenario, required=True, help=SCENARIO_NAMES)
     sub.add_argument("--samples", type=_positive_int, default=100_000, help=samples_help)
     sub.add_argument("--seed", type=int, default=0, help="run seed")
-    sub.add_argument("--jobs", type=_positive_int, default=1, help="parallelism hint (>= 1); changes neither results nor threads")
     sub.add_argument("--n", type=_positive_int, default=None, help="cycle count for u-law")
 
 

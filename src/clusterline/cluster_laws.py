@@ -165,13 +165,15 @@ def cycle_sum_density(params: ModelParams, n: int, x: float) -> float:
     Equals lam e^{-lam eps} p_{n-1}(x - eps) above the radius and zero at
     or below it, with p_{n-1} read off the model's step table with no tail
     stop (_pn.count_prob_at), so it stays relative far into the tail and
-    needs no numpy. Raises CapacityError, before building, for x past
-    STEP_TABLE_BUDGET / n steps of the radius.
+    needs no numpy. Reads 0 at infinity. Raises CapacityError, before
+    building, for finite x past STEP_TABLE_BUDGET / n steps of the radius.
     """
     if n < 1:
         raise ValueError(f"cycle count must be positive, got {n}")
+    if math.isnan(x):
+        raise ValueError("the density's argument is nan")
     lam, eps = params.intensity, params.radius
-    if x <= eps:
+    if x <= eps or x == math.inf:
         return 0.0
     return lam * math.exp(-lam * eps) * count_prob_at(lam, eps, x - eps, n - 1)
 

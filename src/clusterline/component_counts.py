@@ -23,6 +23,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 
 from ._pn import DOUBLES, NumberSystem, as_doubles, count_prob, count_prob_mp, digits, floor_ratio
 from .cluster_laws import ModelParams
@@ -119,14 +120,15 @@ def pmf_complete(model: IntervalModel, n: int) -> float:
     return _profile(lam, eps, model.length, n, f"pmf_complete(n={n})")
 
 
-def _profile(lam: float, eps: float, x: float, n: int, what: str) -> float:
-    """The complete-count profile p_n(x), stabilized and clamped to [0, 1]."""
-    value, abs_sum = count_prob(lam, eps, x, n)
+def _profile(lam: float, eps: float, x: float, n: int, what: str, lag: int = 0) -> float:
+    """The complete-count profile p_n(x) (the circle count with ``lag=1``),
+    stabilized and clamped to [0, 1]; warnings name the caller's caller."""
+    value, abs_sum = count_prob(lam, eps, x, n, lag=lag)
     return _finish_pmf(
         value,
         abs_sum,
         what,
-        mp_eval=lambda dps: count_prob_mp(lam, eps, x, n, dps),
+        mp_eval=lambda dps: count_prob_mp(lam, eps, x, n, dps, lag=lag),
         stacklevel=4,
     )
 
@@ -169,26 +171,28 @@ def _incomplete_mp(lam: float, eps: float, L: float, n: int, upper: int, dps: in
 
 
 def _incomplete_sum(ar: NumberSystem, lam: float, eps: float, L: float, n: int, upper: int) -> tuple:
-    """sum_{i=n}^{upper} (-1)^{i+n} C(i, n) (G(i-1) + G(i)), and its mass."""
+    """sum_{i=n}^{upper} (-1)^{i+n} C(i, n) H(i), H(i) = G(i-1) + G(i), and its mass."""
     table = _incomplete_g_table if ar is DOUBLES else _digit_g_table
-    values, masses = table(lam, eps, L, upper, ar)
+    pairs, mass_pairs = table(lam, eps, L, upper, ar)
     terms = []
     mags = []
     for i in range(n, upper + 1):
         comb = math.comb(i, n)
-        t = comb * (values[i] + values[i + 1])  # slot i holds G(i-1)
+        t = comb * pairs[i]
         terms.append(-t if (i + n) % 2 else t)
-        mags.append(comb * (masses[i] + masses[i + 1]) if masses else abs(t))
+        mags.append(comb * mass_pairs[i] if mass_pairs else abs(t))
     return ar.total(terms), ar.total(mags)
 
 
 def _g_table(lam: float, eps: float, L: float, upper: int, ar: NumberSystem) -> tuple:
-    """Signed incomplete-count summands G(-1)..G(upper), index shifted by 1.
+    """The pair sums H(i) = G(i-1) + G(i), i = 0..upper, of the signed
+    incomplete-count summands G(-1)..G(upper).
 
-    With ``ar.working_mass``, alongside each value comes the magnitude its
-    evaluation pushed through the significand: the exponential partial sum
-    cancels internally, so its positive-argument twin measures the working
-    mass. Otherwise the masses are None and the series counts sum |term|.
+    With ``ar.working_mass``, alongside them come the matching sums of the
+    magnitudes each G pushed through the significand: the exponential
+    partial sum cancels internally, so its positive-argument twin measures
+    the working mass. Otherwise the masses are None and the series counts
+    sum |term|.
     """
     lam_n, eps_n, len_n = ar.num(lam), ar.num(eps), ar.num(L)
     empty = ar.exp(-lam_n * len_n)
@@ -205,7 +209,8 @@ def _g_table(lam: float, eps: float, L: float, upper: int, ar: NumberSystem) -> 
         values.append(-val if k % 2 else val)
         if ar.working_mass:
             masses.append(damp * ar.exp_partial(k, abs(y)) + empty)
-    return tuple(values), tuple(masses) if ar.working_mass else None
+    pairs = tuple(map(add, values, values[1:]))
+    return pairs, tuple(map(add, masses, masses[1:])) if ar.working_mass else None
 
 
 _incomplete_g_table = lru_cache(maxsize=128)(_g_table)
@@ -224,19 +229,12 @@ def pmf_circle(model: IntervalModel, n: int) -> float:
     a = lam e^{-lam eps}, f_{U_n} the n-cycle-sum density, and
     P(C = 0) = p_0(L) - a eps p_0(L - eps). Both are the complete-count
     series with every exponent lowered by one and the sum scaled by L a
-    (count_prob with lag=1), on the same precision ladder as pmf_complete.
+    (the profile with lag=1), on the same precision ladder as pmf_complete.
     """
     if n < 0:
         raise ValueError(f"count must be non-negative, got {n}")
     lam, eps = model.params.intensity, model.params.radius
-    L = model.length
-    value, mass = count_prob(lam, eps, L, n, lag=1)
-    return _finish_pmf(
-        value,
-        mass,
-        f"pmf_circle(n={n})",
-        mp_eval=lambda dps: count_prob_mp(lam, eps, L, n, dps, lag=1),
-    )
+    return _profile(lam, eps, model.length, n, f"pmf_circle(n={n})", lag=1)
 
 
 def _build_table(pmf, support_max: int, what: str) -> DistributionTable:

@@ -562,3 +562,9 @@ class TestSpanDensity:
         p = ModelParams(1.0, 1.0)
         assert cluster_length_law(p).density(np.inf) == 0.0
         assert cluster_length_density_at(p, np.inf) == 0.0
+
+    def test_cycle_sum_density_reads_zero_at_infinity_and_refuses_nan(self):
+        p = ModelParams(1.0, 1.0)
+        assert cycle_sum_density(p, 2, math.inf) == 0.0
+        with pytest.raises(ValueError, match="nan"):
+            cycle_sum_density(p, 2, math.nan)

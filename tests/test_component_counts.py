@@ -8,6 +8,7 @@ for the coverage probability both a renewal identity and a quadrature of
 the span survival.
 """
 
+import dataclasses
 import math
 import time
 import warnings
@@ -37,7 +38,9 @@ from clusterline import (
     var_complete,
     var_critical_points,
 )
-from clusterline._pn import count_prob
+from clusterline import _pn
+from clusterline._pn import count_prob, floor_ratio
+from clusterline.component_counts import _finish_pmf
 from oracles import circle_by_digits, coverage_by_quadrature, incomplete_by_convolution, p_n_by_digits
 
 E = math.e
@@ -152,7 +155,9 @@ class TestPmfCompleteTable:
         # entry is nan and the table says so at its first entry
         passes = []
         digit_pass = cl.component_counts.count_prob_mp
-        monkeypatch.setattr(cl.component_counts, "count_prob_mp", lambda *a: passes.append(a[-1]) or digit_pass(*a))
+        monkeypatch.setattr(
+            cl.component_counts, "count_prob_mp", lambda *a, **k: passes.append(a[-1]) or digit_pass(*a, **k)
+        )
         bad = IntervalModel(ModelParams(30.0, 0.01), 50.0)
         with pytest.warns(cl.PrecisionWarning):
             assert math.isnan(pmf_complete(bad, 0))
@@ -184,6 +189,39 @@ class TestPmfCompleteTable:
         with pytest.warns(cl.PrecisionWarning) as caught:
             pmf_complete(bad, 0)
         assert caught[0].message.estimate > 1e-9
+
+
+def summed_terms(lam, eps, x, n, lag=0):
+    """How many terms the double pass of the p_n series sums before its tail cut."""
+    lengths = []
+
+    def total(terms):
+        terms = list(terms)
+        lengths.append(len(terms))
+        return math.fsum(terms)
+
+    _pn._pn_sum(dataclasses.replace(_pn.DOUBLES, total=total), lam, eps, x, n, lag)
+    return lengths[0]
+
+
+class TestTailCut:
+    """The p_n series stops at a term below its cut once c = x a < (i + 1) / 2,
+    as the rest of its tail is then below that term. Here the cut drops
+    almost every term, and each double pass _finish_pmf accepts matches the
+    sum of every term."""
+
+    CASES = [(1.0, 1e-4, n, 0) for n in range(6)] + [(3.0, 1e-3, n, 0) for n in range(6)] + [(3.0, 1e-3, 2, 1)]
+
+    @pytest.mark.parametrize("lam,eps,n,lag", CASES)
+    def test_accepted_double_pass_matches_every_term(self, lam, eps, n, lag):
+        p, x = ModelParams(lam, eps), 1.0
+        assert summed_terms(lam, eps, x, n, lag) < (floor_ratio(x, eps) - n + 1) / 10
+        value, mass = count_prob(lam, eps, x, n, lag=lag)
+        escalated = []
+        _finish_pmf(value, mass, "cut", mp_eval=lambda dps: escalated.append(dps) or (value, 0.0))
+        assert escalated == []
+        exact = circle_by_digits(p, x, n, dps=40) if lag else p_n_by_digits(p, x, n, dps=40)
+        assert value == pytest.approx(float(exact), rel=1e-12, abs=0.0)
 
 
 class TestMoments:

@@ -3,6 +3,7 @@ oracles: brute-force set-partition enumeration, the Bell triangle, and
 direct series summation."""
 
 import math
+import sys
 
 import mpmath
 import pytest
@@ -125,14 +126,27 @@ class TestPolylogNeg:
         reference = polylog_series(m, z, terms=600)
         assert polylog_neg(m, z) == pytest.approx(reference, rel=1e-10)
 
-    @pytest.mark.parametrize("m", [1, 2, 4])
-    @pytest.mark.parametrize("z", [1e-20, 1e-12, 1e-6, 1e-3, 0.01, 0.1, 0.3, 0.5])
-    def test_small_argument_matches_mpmath(self, m, z):
-        # the finite expansion cancels to about z (1.3e-4 relative at
-        # z = 1e-12, 100% at z = 1e-20), so small z must take the series
-        with mpmath.workdps(50):
-            reference = float(mpmath.polylog(-m, mpmath.mpf(z)))
-        assert polylog_neg(m, z) == pytest.approx(reference, rel=1e-15, abs=0.0)
+    @pytest.mark.parametrize("m", [1, 2, 4, 8, 63])
+    @pytest.mark.parametrize(
+        "z", [1e-20, 1e-12, 1e-6, 1e-3, 0.01, 0.1, 0.3, 0.5]
+        + [-1e300, -0.3, -0.1, -1e-9, 0.5000001, 0.7, 0.9, 0.999, 1.0 - 1e-10]
+    )
+    def test_matches_mpmath(self, m, z):
+        # the finite expansion's terms cancel: to about z for small z
+        # (1.3e-4 relative at z = 1e-12 in floats), so small z takes the
+        # series, and by up to 1e22 at m = 63 (z = -0.3), so the rest is
+        # summed exactly; summed in floats, z = 0.5000001 was off by 1.7e-2
+        # and z = 1 - 1e-10 divided by zero
+        with mpmath.workdps(60):
+            reference = mpmath.polylog(-m, mpmath.mpf(z))
+        if abs(reference) > sys.float_info.max:
+            with pytest.raises(OverflowError):
+                polylog_neg(m, z)
+        else:
+            assert polylog_neg(m, z) == pytest.approx(float(reference), rel=1e-15, abs=0.0)
+
+    def test_minus_infinity_reads_zero(self):
+        assert polylog_neg(3, -math.inf) == 0.0
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
