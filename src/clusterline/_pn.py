@@ -37,13 +37,16 @@ numpy and with no tail stop; ``count_prob_steps`` reads an array of points
 with numpy, Horner's rule per point over its step's coefficients, and reads
 0 past the table's 2^-60 tail stop. ``count_prob_deriv_grid`` reads p_n'
 off the same equation, so the span CDF and its density share that one
-kernel. ``count_prob_grid`` sums the alternating series over an array in
-plain doubles; it backs the Laplace check, whose quadrature must stay
-independent of the kernel, and the tests' oracles.
+kernel. ``incomplete_counts`` walks the same lattice once per model, with
+no table: by the last point the incomplete count integrates the profile
+against e^{-lam (L - y)}, and each step's integral is one more Horner sum
+in D = S - I. ``count_prob_grid`` sums the alternating series over an
+array in plain doubles; it backs the Laplace check, whose quadrature must
+stay independent of the kernel, and the tests' oracles.
 
-The scalar series and count_prob_at need only math (and mpmath for digit
-passes); the three array kernels import numpy when called, so the scalar
-paths run without it.
+The scalar series, count_prob_at and incomplete_counts need only math (and
+mpmath for digit passes); the three array kernels import numpy when
+called, so the scalar paths run without it.
 """
 
 from __future__ import annotations
@@ -55,11 +58,10 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, repeat
-from operator import add, mul
+from operator import add, mul, sub, truediv
 from typing import TYPE_CHECKING, Callable
 
 from .errors import CapacityError
-from .special_fn import partial_exp_sum
 
 if TYPE_CHECKING:  # the array kernels import numpy when called
     import numpy as np
@@ -79,6 +81,9 @@ _LOG_UNDERFLOW = -760.0
 # while all of them hold at most _CACHE_VALUES (a bound of 2^19 let the
 # tables of past models add 10 MB to a process that reads many models).
 _STEP_DROP = 3e-29
+# The incomplete count's pass cuts at 1e-45 (degree 35 at lam eps = 1), which
+# keeps its entries relative down to about 1e-40.
+_INCOMPLETE_DROP = 1e-45
 _STEP_TAIL = 2.0**-60
 STEP_TABLE_BUDGET = 1 << 19
 _CACHE_VALUES = 1 << 16
@@ -96,10 +101,8 @@ class NumberSystem:
     num: Callable
     exp: Callable
     total: Callable  # math.fsum, or an in-order sum whose digits absorb the rounding
-    exp_partial: Callable  # sum_{j<=k} y^j / j!, compensated in doubles
     inv_fact: Callable  # i -> 1/i!
     tail_cut: float  # the p_n sum stops at a term below this times its leading term, once the tail is below that term
-    working_mass: bool  # incomplete mass counts the partial sums' working magnitude
 
 
 def _inv_fact_table(one, far: Callable) -> Callable:
@@ -108,22 +111,8 @@ def _inv_fact_table(one, far: Callable) -> Callable:
     return lambda i: table[i] if i <= 170 else far(i)
 
 
-def _exp_partial_in_order(j_max: int, y):
-    """sum_{j=0}^{j_max} y^j / j! in order: at dps digits compensation gains
-    no accuracy and makes a G table about 1.6 times slower.
-    """
-    total = term = 1
-    for j in range(1, j_max + 1):
-        term *= y / j
-        total += term
-    return total
-
-
 _inv_fact_double = _inv_fact_table(1.0, lambda i: math.exp(-math.lgamma(i + 1)))
-# partial_exp_sum is looked up per call, so a traced run still sees the double pass call it
-DOUBLES = NumberSystem(
-    float, math.exp, math.fsum, lambda k, y: partial_exp_sum(k, y), _inv_fact_double, _TAIL_CUTOFF, True
-)
+DOUBLES = NumberSystem(float, math.exp, math.fsum, _inv_fact_double, _TAIL_CUTOFF)
 
 
 @lru_cache(maxsize=None)
@@ -134,12 +123,7 @@ def digits(dps: int) -> NumberSystem:
     ctx = mpmath.MPContext()
     ctx.dps = dps
     inv_fact = _inv_fact_table(ctx.mpf(1), lambda i: 1 / ctx.factorial(i))
-    return NumberSystem(ctx.mpf, ctx.exp, sum, _exp_partial_in_order, inv_fact, 10.0 ** -(dps + 20), False)
-
-
-def as_doubles(value, mass) -> tuple[float, float]:
-    """A digit pass's (value, mass) as doubles, the mass capped at 1e300."""
-    return float(value), float(min(mass, 1e300))
+    return NumberSystem(ctx.mpf, ctx.exp, sum, inv_fact, 10.0 ** -(dps + 20))
 
 
 def count_prob(lam: float, eps: float, x: float, n: int, *, lag: int = 0) -> tuple[float, float]:
@@ -155,8 +139,10 @@ def count_prob(lam: float, eps: float, x: float, n: int, *, lag: int = 0) -> tup
 
 
 def count_prob_mp(lam: float, eps: float, x: float, n: int, dps: int, *, lag: int = 0) -> tuple[float, float]:
-    """count_prob's series re-run at ``dps`` digits, when the double pass cancels too much."""
-    return as_doubles(*_pn_sum(digits(dps), lam, eps, x, n, lag))
+    """count_prob's series re-run at ``dps`` digits, when the double pass
+    cancels too much, as doubles with the mass capped at 1e300."""
+    value, mass = _pn_sum(digits(dps), lam, eps, x, n, lag)
+    return float(value), float(min(mass, 1e300))
 
 
 def _pn_sum(ar: NumberSystem, lam: float, eps: float, x: float, n: int, lag: int) -> tuple:
@@ -193,6 +179,15 @@ def _pn_sum(ar: NumberSystem, lam: float, eps: float, x: float, n: int, lag: int
     return scale * ar.total(terms), scale * ar.total(map(abs, terms))
 
 
+def _step_degree(h: float, drop: float) -> int:
+    """The smallest d with (2h)^(d+1) / (d+1)! < drop, a bound on the row sum
+    of every dropped t^m coefficient of the method of steps, h = a eps."""
+    degree = 0
+    while (2.0 * h) ** (degree + 1) / math.factorial(degree + 1) >= drop:
+        degree += 1
+    return degree
+
+
 class _StepTable:
     """p_0..p_{width-1} at the lattice points j eps of one model, by the method
     of steps, extended on demand.
@@ -210,9 +205,7 @@ class _StepTable:
     __slots__ = ("degree", "lags", "columns", "steps", "stop", "last_read")
 
     def __init__(self, h: float, width: int):
-        degree = 0
-        while (2.0 * h) ** (degree + 1) / math.factorial(degree + 1) >= _STEP_DROP:
-            degree += 1
+        degree = _step_degree(h, _STEP_DROP)
         scale = [h**m / math.factorial(m) for m in range(degree + 1)]
         self.degree = degree
         self.lags = [
@@ -321,6 +314,71 @@ def count_prob_at(lam: float, eps: float, x: float, n: int) -> float:
             coefs[: d - l + 1] = map(add, coefs, map(mul, lags[l], columns[n - l][j : d + j - l + 1]))
         table.last_read = (j, coefs)
     return sum(map(mul, accumulate(repeat(u - j, d), mul, initial=1.0), reversed(coefs)))
+
+
+def _damped_moments(b: float, degree: int) -> list[float]:
+    """int_0^1 e^{-b (1 - s)} s^m ds for m = 0..degree, each at most 1 / (m + 1).
+
+    Upward from m = 0 by m M_{m-1} + b M_m = 1 where b > degree, so every step
+    shrinks the error by m / b; else (b <= degree, so e^b cannot overflow)
+    e^{-b} sum_k b^k / (k! (m + k + 1)), whose terms are all positive.
+    """
+    if b > degree:
+        moments = [-math.expm1(-b) / b]
+        for m in range(1, degree + 1):
+            moments.append((1.0 - m * moments[-1]) / b)
+        return moments
+    powers, total = [1.0], 1.0  # b^k / k!, to past the peak and below 1e-17 of their sum
+    while len(powers) <= 2.0 * b or powers[-1] >= 1e-17 * total:
+        powers.append(powers[-1] * b / len(powers))
+        total += powers[-1]
+    damp = math.exp(-b)
+    return [damp * sum(map(truediv, powers, range(m + 1, m + len(powers) + 1))) for m in range(degree + 1)]
+
+
+def _horner_in_d(coefs: list[float], history: list[list[float]]) -> list[float]:
+    """sum_m coefs[m] D^m history[m] by Horner's rule in D = S - I, for
+    m < len(history); history[m] holds v_{j-m}, j - m + 1 long, and each D
+    lengthens the sum by one."""
+    m = len(history) - 1
+    acc = [coefs[m] * x for x in history[m]]
+    for m in range(m - 1, -1, -1):
+        acc = list(map(add, map(mul, repeat(coefs[m]), history[m]), map(sub, [0.0, *acc], [*acc, 0.0])))
+    return acc
+
+
+@lru_cache(maxsize=128)
+def incomplete_counts(lam: float, eps: float, length: float) -> tuple[float, ...]:
+    """q_0..q_{J+1}, J = floor(length / eps): P(n clusters touch [0, length]).
+
+    With the last point at y, every other cluster is complete on [0, y], so
+    q_n(L) = delta_{n0} e^{-lam L} + lam int_0^L e^{-lam (L - y)} p_{n-1}(y) dy.
+    The pass walks the lattice v_j = p(j eps), j + 1 long as p_n(j eps) = 0
+    for n >= j, by v_{j+1} = sum_m c_m D^m v_{j-m}, c_m = (a eps)^m / m!, and
+    adds step j's integral (y = eps (j + s), 0 <= s <= tau, with tau = 1 but
+    on the last, partial step) as eps e^{-lam (L - eps (j + tau))}
+    sum_m w_m D^m v_{j-m}, w_m = c_m int_0^tau e^{-lam eps (tau - s)} s^m ds
+    <= c_m / (m + 1): damped to the step's end, no weight overflows at large
+    lam eps. The degree is min(J, _step_degree at 1e-45). Nothing cancels
+    between steps: every entry is within 1e-12 relative plus 1e-43 absolute.
+    """
+    steps = floor_ratio(length, eps)
+    h = lam * math.exp(-lam * eps) * eps
+    degree = min(_step_degree(h, _INCOMPLETE_DROP), steps)
+    coefs = [h**m / math.factorial(m) for m in range(degree + 1)]
+    full, last = (  # the step weights, for a full step and for the last, partial one
+        [c * tau ** (m + 1) * w for m, (c, w) in enumerate(zip(coefs, _damped_moments(lam * eps * tau, degree)))]
+        for tau in (1.0, max(length / eps - steps, 0.0))
+    )
+    counts = [math.exp(-lam * length)] + [0.0] * (steps + 1)
+    history = [[1.0]]  # v_j, v_{j-1}, .. back to v_{j-degree}
+    for j in range(steps):
+        scale = lam * eps * math.exp(-lam * (length - eps * (j + 1)))
+        counts[1 : j + 2] = map(add, counts[1 : j + 2], map(mul, repeat(scale), _horner_in_d(full, history)))
+        history.insert(0, _horner_in_d(coefs, history) + [0.0])
+        del history[degree + 1 :]
+    counts[1:] = map(add, counts[1:], map(mul, repeat(lam * eps), _horner_in_d(last, history)))
+    return tuple(counts)
 
 
 def count_prob_steps(lam: float, eps: float, xs, n_max: int) -> np.ndarray:

@@ -5,15 +5,15 @@ clusters on [0, L], the full-coverage probability, the incomplete-cluster
 count (clusters touching the interval at all), and the cluster count on a
 circle of circumference L.
 
-Each pmf formula is one alternating series, written once over a
-NumberSystem (see _pn): the double pass sums it exactly with math.fsum,
+The complete and circle pmfs are one alternating series, written once over
+a NumberSystem (see _pn): the double pass sums it exactly with math.fsum,
 and the 30/60/120-digit passes re-run it in mpmath while its cancellation
-estimate, working epsilon * mass / |value|, is too large. The mass is the
-sum of |term|, except in the incomplete count's double pass, where it also
-counts what the G table's partial exponential sums push through the
-significand. When the deepest pass still exceeds 1e-9 a PrecisionWarning
-fires with the estimate attached; the value is clamped to [0, 1] either
-way. The documented double-precision validity regime is
+estimate, working epsilon * sum|term| / |value|, is too large. When the
+deepest pass still exceeds 1e-9 a PrecisionWarning fires with the estimate
+attached; the value is clamped to [0, 1] either way. The incomplete count
+sums no alternating series: it is the complete-count profile integrated
+against the last point (_pn.incomplete_counts), in doubles, with no digit
+pass. The documented double-precision validity regime is
 lam * L * e^{-lam*eps} <= 30 with floor(L/eps) <= 60.
 """
 
@@ -22,10 +22,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import add
 
-from ._pn import DOUBLES, NumberSystem, as_doubles, count_prob, count_prob_mp, digits, floor_ratio
+from ._pn import count_prob, count_prob_mp, floor_ratio, incomplete_counts
 from .cluster_laws import ModelParams
 from .errors import CapacityError, NormalizationError, PrecisionWarning
 from .special_fn import partial_exp_sum, stirling_row
@@ -35,7 +33,7 @@ _TABLE_TOL = 1e-9
 # above this sum of |term| even the 120-digit pass misses the 1e-13 absolute bound
 _HOPELESS_MASS = 1e-13 / 10.0 ** (1 - 120)
 COVERAGE_MISMATCH_TOL = 1e-6
-# the incomplete table's G table and outer sums are quadratic in its support
+# the incomplete count's pass is quadratic in its support (steps times width)
 INCOMPLETE_SUPPORT_BUDGET = 512
 
 
@@ -137,7 +135,8 @@ def pmf_incomplete(model: IntervalModel, n: int) -> float:
     """Probability of exactly n incomplete clusters on [0, length].
 
     A cluster counts as soon as any of its points lies in the interval,
-    so the support extends one step past the complete-count bound.
+    so the support extends one step past the complete-count bound. Read
+    off the model's cached incomplete_counts, clamped to [0, 1].
 
     Raises:
         CapacityError: Before any work, for an n inside a support
@@ -155,66 +154,7 @@ def pmf_incomplete(model: IntervalModel, n: int) -> float:
             f"incomplete-count support {upper} exceeds INCOMPLETE_SUPPORT_BUDGET = {INCOMPLETE_SUPPORT_BUDGET}; "
             "its cost is quadratic in the support"
         )
-
-    value, mass = _incomplete_sum(DOUBLES, lam, eps, L, n, upper)
-    return _finish_pmf(
-        value,
-        mass,
-        f"pmf_incomplete(n={n})",
-        mp_eval=lambda dps: _incomplete_mp(lam, eps, L, n, upper, dps),
-    )
-
-
-def _incomplete_mp(lam: float, eps: float, L: float, n: int, upper: int, dps: int) -> tuple[float, float]:
-    """pmf_incomplete's series re-evaluated at ``dps`` digits."""
-    return as_doubles(*_incomplete_sum(digits(dps), lam, eps, L, n, upper))
-
-
-def _incomplete_sum(ar: NumberSystem, lam: float, eps: float, L: float, n: int, upper: int) -> tuple:
-    """sum_{i=n}^{upper} (-1)^{i+n} C(i, n) H(i), H(i) = G(i-1) + G(i), and its mass."""
-    table = _incomplete_g_table if ar is DOUBLES else _digit_g_table
-    pairs, mass_pairs = table(lam, eps, L, upper, ar)
-    terms = []
-    mags = []
-    for i in range(n, upper + 1):
-        comb = math.comb(i, n)
-        t = comb * pairs[i]
-        terms.append(-t if (i + n) % 2 else t)
-        mags.append(comb * mass_pairs[i] if mass_pairs else abs(t))
-    return ar.total(terms), ar.total(mags)
-
-
-def _g_table(lam: float, eps: float, L: float, upper: int, ar: NumberSystem) -> tuple:
-    """The pair sums H(i) = G(i-1) + G(i), i = 0..upper, of the signed
-    incomplete-count summands G(-1)..G(upper).
-
-    With ``ar.working_mass``, alongside them come the matching sums of the
-    magnitudes each G pushed through the significand: the exponential
-    partial sum cancels internally, so its positive-argument twin measures
-    the working mass. Otherwise the masses are None and the series counts
-    sum |term|.
-    """
-    lam_n, eps_n, len_n = ar.num(lam), ar.num(eps), ar.num(L)
-    empty = ar.exp(-lam_n * len_n)
-    values = [empty]
-    masses = [empty]
-    for k in range(upper + 1):
-        if not L > k * eps:
-            values.append(0.0)
-            masses.append(0.0)
-            continue
-        y = lam_n * (k * eps_n - len_n)
-        damp = ar.exp(-k * lam_n * eps_n)
-        val = damp * ar.exp_partial(k, y) - empty
-        values.append(-val if k % 2 else val)
-        if ar.working_mass:
-            masses.append(damp * ar.exp_partial(k, abs(y)) + empty)
-    pairs = tuple(map(add, values, values[1:]))
-    return pairs, tuple(map(add, masses, masses[1:])) if ar.working_mass else None
-
-
-_incomplete_g_table = lru_cache(maxsize=128)(_g_table)
-_digit_g_table = lru_cache(maxsize=16)(_g_table)
+    return min(1.0, max(0.0, incomplete_counts(lam, eps, L)[n]))
 
 
 def pmf_circle(model: IntervalModel, n: int) -> float:

@@ -24,11 +24,17 @@ None of them imports the kernel it checks:
   integrating span_density_by_series. It checks coverage_prob, which sums
   the scalar alternating-sum profile;
 - incomplete_by_convolution: the incomplete count by conditioning on the
-  last point, a quadrature of the method-of-steps profile. It checks the
-  incomplete-count series of partial exponential sums.
+  last point, a quadrature of the method-of-steps profile. It shares that
+  profile with the incomplete count's pass, so it checks the conditioning;
+- incomplete_by_digits: the incomplete count as the alternating series of
+  partial exponential sums, every term kept, at 120 digits in mpmath. It
+  checks the incomplete count's pass, which sums no series.
 """
 
+import functools
+import itertools
 import math
+import operator
 
 import mpmath
 import numpy as np
@@ -99,11 +105,10 @@ def p_n_by_digits(params: ModelParams, x, n: int = 0, dps: int = 80):
     if x <= 0:
         return ctx.mpf(1 if n == 0 else 0)
     a = lam * ctx.exp(-lam * eps)
-    terms = (
-        (-1) ** i * ((x - (n + i) * eps) * a) ** (n + i) / ctx.factorial(i)
-        for i in range(int(ctx.floor(x / eps)) - n + 1)
-    )
-    return ctx.fsum(terms) / ctx.factorial(n)
+    inv_facts = itertools.accumulate(itertools.count(1), operator.truediv, initial=ctx.mpf(1))  # 1 / i!
+    count = int(ctx.floor(x / eps)) - n + 1
+    terms = ((-1) ** i * ((x - (n + i) * eps) * a) ** (n + i) * f for i, f in zip(range(count), inv_facts))
+    return ctx.fsum(terms) / math.factorial(n)
 
 
 def cycle_sum_density_by_digits(params: ModelParams, x: float, n: int, dps: int = 120):
@@ -236,3 +241,32 @@ def incomplete_by_convolution(lam, eps, length, n):
     kinks = [length - k * eps for k in range(1, floor_ratio(length, eps) + 1)]
     value, _, _ = integrate_adaptive(integrand, 0.0, length, abs_tol=1e-14, breakpoints=kinks)
     return value
+
+
+@functools.lru_cache(maxsize=None)
+def _incomplete_pair_sums(lam: float, eps: float, length: float, dps: int) -> tuple:
+    """H(i) = G(i - 1) + G(i) for i = 0..K + 1, K the last k with k eps < L,
+    of G(-1) = e^{-lam L} and G(k) = (-1)^k (e^{-k lam eps} sum_{j<=k} y^j / j!
+    - e^{-lam L}), y = lam (k eps - L), every term kept, at dps digits."""
+    ctx = mpmath.MPContext()
+    ctx.dps = dps
+    lam, eps, length = ctx.mpf(lam), ctx.mpf(eps), ctx.mpf(length)
+    empty = ctx.exp(-lam * length)
+    summands = [empty]
+    k = 0
+    while k * eps < length:
+        y = lam * (k * eps - length)
+        partial = ctx.fsum(itertools.accumulate(range(1, k + 1), lambda term, j: term * y / j, initial=ctx.mpf(1)))
+        summands.append((-1) ** k * (ctx.exp(-k * lam * eps) * partial - empty))
+        k += 1
+    summands.append(ctx.mpf(0))
+    return tuple(map(operator.add, summands, summands[1:]))
+
+
+def incomplete_by_digits(params: ModelParams, length: float, n: int, dps: int = 120):
+    """P(n clusters touch [0, L]) = sum_{i>=n} (-1)^{i+n} C(i, n) H(i), the
+    series of partial exponential sums, every term kept, at dps digits (an mpf)."""
+    ctx = mpmath.MPContext()
+    ctx.dps = dps
+    pairs = _incomplete_pair_sums(params.intensity, params.radius, length, dps)
+    return ctx.fsum((-1) ** (i + n) * math.comb(i, n) * pairs[i] for i in range(n, len(pairs)))

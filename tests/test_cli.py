@@ -131,8 +131,8 @@ NUMPY_FREE_GOLDENS = [
     "sweep_pmf.json",
     "sweep_var.csv",
 ]
-# runs cli.main on its argv, then reports on stderr whether numpy was imported
-NUMPY_PROBE = """
+# runs cli.main on its argv, then reports on stderr whether mpmath and numpy were imported
+IMPORT_PROBE = """
 import sys
 from clusterline.cli import main
 try:
@@ -140,6 +140,7 @@ try:
 except SystemExit as exc:
     code = exc.code
 sys.stdout.flush()
+sys.stderr.write(f"mpmath imported: {'mpmath' in sys.modules}\\n")
 sys.stderr.write(f"numpy imported: {'numpy' in sys.modules}\\n")
 sys.exit(code)
 """
@@ -149,7 +150,7 @@ def _run_fresh(argv: list[str]) -> subprocess.CompletedProcess:
     src = str(Path(clusterline.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-c", NUMPY_PROBE, *argv], env=env, capture_output=True)
+    return subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv], env=env, capture_output=True)
 
 
 @pytest.mark.parametrize(
@@ -167,6 +168,16 @@ def test_analytic_subcommands_run_without_numpy(argv, code, golden):
     assert proc.stderr.decode().endswith("numpy imported: False\n")
     if golden is not None:
         assert proc.stdout == (GOLDEN_DIR / golden).read_bytes()
+
+
+def test_incomplete_tail_rows_print_true_digits_without_mpmath():
+    # inside the documented regime; the partial-exponential series printed
+    # 25,0 and 30,7.00473971e-27 here, and imported mpmath for its digit passes
+    proc = _run_fresh("incomplete --lambda 0.05 --epsilon 1 --length 40".split())
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stderr.decode() == "mpmath imported: False\nnumpy imported: False\n"
+    rows = proc.stdout.decode().splitlines()
+    assert "25,6.1921063e-29" in rows and "30,1.37502635e-41" in rows
 
 
 def test_linspace_matches_numpy_bit_for_bit():

@@ -41,7 +41,13 @@ from clusterline import (
 from clusterline import _pn
 from clusterline._pn import count_prob, floor_ratio
 from clusterline.component_counts import _finish_pmf
-from oracles import circle_by_digits, coverage_by_quadrature, incomplete_by_convolution, p_n_by_digits
+from oracles import (
+    circle_by_digits,
+    coverage_by_quadrature,
+    incomplete_by_convolution,
+    incomplete_by_digits,
+    p_n_by_digits,
+)
 
 E = math.e
 
@@ -166,7 +172,7 @@ class TestPmfCompleteTable:
             warnings.simplefilter("ignore")
             pmf_complete_table(bad)
 
-    def test_digit_pass_past_the_doubles_reports_infinite_estimate(self, monkeypatch):
+    def test_digit_pass_past_the_doubles_reports_infinite_estimate(self):
         # the 30-digit value converts to inf here and its mass is capped at
         # 1e300, so ulp * mass / |value| would read 0
         bad = IntervalModel(ModelParams(30.0, 0.01), 50.0)
@@ -174,13 +180,6 @@ class TestPmfCompleteTable:
             with pytest.warns(cl.PrecisionWarning) as caught:
                 assert math.isnan(pmf(bad, 0))
             assert [w.message.estimate for w in caught] == [math.inf], pmf.__name__
-        # the incomplete law does the same at this model, but its 30-digit G
-        # table over a support of 5001 takes over a minute: stand in for that
-        # pass where the double pass escalates at once
-        monkeypatch.setattr(cl.component_counts, "_incomplete_mp", lambda *a: (math.inf, 1e300))
-        with pytest.warns(cl.PrecisionWarning) as caught:
-            assert math.isnan(pmf_incomplete(IntervalModel(ModelParams(2.0, 1.0), 6.5), 0))
-        assert [w.message.estimate for w in caught] == [math.inf]
 
     def test_precision_warning_carries_estimate(self):
         # far outside every documented regime; even the deepest fallback
@@ -406,6 +405,27 @@ class TestPmfIncomplete:
         table = pmf_incomplete_table(IntervalModel(ModelParams(lam, eps), length))
         for n, p in enumerate(table.probs):
             assert p == pytest.approx(incomplete_by_convolution(lam, eps, length, n), abs=1e-12)
+
+    def test_matches_digit_series_on_fixed_models(self):
+        # every twelfth of criterion 2's 500 models, then criterion 2's first
+        # model, whose n = 28 entry the partial-exponential series' digit pass
+        # accepted 2.1e-5 relative off, and (0.05, 1, 40), where that series
+        # printed 0 at n = 25 and 7.0e-27 at n = 30
+        models = random_models(500, seed=20240601)[6::12] + [
+            IntervalModel(ModelParams(0.21765631981973046, 1.7635594645394945), 56.22409391684596),
+            IntervalModel(ModelParams(0.05, 1.0), 40.0),
+        ]
+        for model in models:
+            params, length = model.params, model.length
+            for n, p in enumerate(pmf_incomplete_table(model).probs):
+                exact = float(incomplete_by_digits(params, length, n))
+                assert abs(p - exact) <= 1e-12 * exact + 1e-43, (params, length, n)
+
+    @pytest.mark.parametrize("eps", [0.004, 0.002])
+    def test_fine_radius_table_is_normalised(self, eps):
+        # supports 251 and 501, where the partial-exponential series missed
+        # normalisation by -77 and -192 and raised NormalizationError
+        assert abs(pmf_incomplete_table(IntervalModel(ModelParams(1.0, eps), 1.0)).tail_mass) <= 1e-9
 
     def test_support_past_the_budget_raises_before_any_work(self):
         # support 10001: the G table alone is quadratic in it (over 10 minutes)

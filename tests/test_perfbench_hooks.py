@@ -20,6 +20,8 @@ RETIRED_HOOKS = {
     "_pn.count_prob_deriv",
     "cluster_laws.span_tail_rate",
     "component_counts._circle_mp",
+    "component_counts._incomplete_g_table",
+    "component_counts._incomplete_mp",
     "mc_engine._RngPool.reset",
 }
 
