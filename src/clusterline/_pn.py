@@ -40,9 +40,11 @@ off the same equation, so the span CDF and its density share that one
 kernel. ``incomplete_counts`` walks the same lattice once per model, with
 no table: by the last point the incomplete count integrates the profile
 against e^{-lam (L - y)}, and each step's integral is one more Horner sum
-in D = S - I. ``count_prob_grid`` sums the alternating series over an
-array in plain doubles; it backs the Laplace check, whose quadrature must
-stay independent of the kernel, and the tests' oracles.
+in D = S - I. ``count_prob_grid`` sums the alternating series for
+p_0..p_{n_max} over an array in plain doubles, forming each power b_k^k once
+per point for every count, with each count's own tail stop; it backs the
+Laplace check, whose quadrature must stay independent of the step table, and
+the tests' oracles.
 
 The scalar series, count_prob_at and incomplete_counts need only math (and
 mpmath for digit passes); the three array kernels import numpy when
@@ -427,40 +429,52 @@ def count_prob_steps(lam: float, eps: float, xs, n_max: int) -> np.ndarray:
     return acc.reshape((width, *xs.shape))
 
 
-def count_prob_grid(lam: float, eps: float, xs: np.ndarray, n: int) -> np.ndarray:
-    """Vectorized n-cluster probability profile over an array of lengths.
+def count_prob_grid(lam: float, eps: float, xs, n_max: int) -> np.ndarray:
+    """p_0..p_{n_max} at xs by the alternating sum, shape (n_max + 1, *xs.shape).
 
-    Plain float64 accumulation (no fsum); intended for density grids and
-    the tests' quadrature oracles, where 1e-12 accuracy is ample.
+    The points are sorted once; each power max(b_k, 0)^k, b_k = (x - k eps) a,
+    is formed once on the suffix of points it reaches (x >= k eps) and added,
+    times (-1)^(k-n) / (n! (k - n)!), into every row n <= k whose series has
+    not stopped. Row n stops where the single-count sum would (see _pn_sum,
+    with the largest point's x a), so its bits do not depend on n_max. Plain
+    float64 accumulation (no fsum): it is within 1e-12 absolute only while
+    the sum cancels little, to x = 10 at lam = 2, eps = 0.5 and to x = 20 at
+    lam = eps = 1. It backs the Laplace check, whose quadrature must stay
+    independent of the step table, and the tests' oracles. Points x <= 0
+    read p_0 = 1.
     """
     import numpy as np
 
     xs = np.asarray(xs, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.zeros_like(xs)
-        positive = xs > 0.0
-        if n == 0:
-            out[~positive] = 1.0
-        if not positive.any():
-            return out
+    flat, width = xs.ravel(), n_max + 1
+    out = np.zeros((width, flat.size))
+    positive = flat > 0.0
+    out[0, ~positive] = 1.0
+    order = np.flatnonzero(positive)
+    if order.size:
+        order = order[np.argsort(flat[order], kind="stable")]
+        nodes = flat[order]
+        rows = np.zeros((width, nodes.size))
         a = lam * math.exp(-lam * eps)
-        x_hi = float(xs[positive].max())
-        i_hi = floor_ratio(x_hi, eps) - n
-        c = x_hi * a
-        inv_nfact = _inv_fact_double(n)
-        for i in range(max(i_hi, 0) + 1):
-            k = n + i
-            slack = (k * eps) * (1.0 - FLOOR_SLACK) if k > 0 else 0.0
-            active = positive & (xs >= slack)
-            if not active.any():
-                break
-            b = (xs[active] - k * eps) * a
-            inv_ifact = _inv_fact_double(i)
-            term = (np.maximum(b, 0.0) ** k if k > 0 else np.ones_like(b)) * (inv_nfact * inv_ifact)
-            out[active] += -term if i % 2 else term
-            if c < 0.5 * (i + 1) and term.max() < _TAIL_CUTOFF:  # as in _pn_sum
-                break
-        return out
+        c = float(nodes[-1]) * a
+        slacks = [(k * eps) * (1.0 - FLOOR_SLACK) for k in range(floor_ratio(float(nodes[-1]), eps) + 1)]
+        live = []  # the rows started and not yet stopped
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, start in enumerate(np.searchsorted(nodes, slacks).tolist()):
+                if k < width:
+                    live.append(k)
+                if start == nodes.size or not live:
+                    break
+                power = np.maximum((nodes[start:] - k * eps) * a, 0.0) ** k if k > 0 else np.ones(nodes.size)
+                top = float(power.max())
+                for n in tuple(live):
+                    i = k - n
+                    coef = _inv_fact_double(n) * _inv_fact_double(i)
+                    rows[n, start:] += power * (-coef if i % 2 else coef)
+                    if c < 0.5 * (i + 1) and top * coef < _TAIL_CUTOFF:  # max(power * coef), as in _pn_sum
+                        live.remove(n)
+        out[:, order] = rows
+    return out.reshape((width, *xs.shape))
 
 
 def count_prob_deriv_grid(lam: float, eps: float, xs: np.ndarray, n: int) -> np.ndarray:

@@ -7,7 +7,9 @@ inversions exist in closed form and only the forward direction is checked,
 because numerical inversion is ill-conditioned and unnecessary. The count
 transforms are checked on the alternating-sum grid kernel, not on the
 method-of-steps kernel the span and cycle-sum laws use, so the check stays
-independent of them. The closed forms are written in the paper's variable
+independent of them; for each s one quadrature integrates the rows
+p_0..p_{n_max} together, each against its own tail bound, on the panels
+every row needs. The closed forms are written in the paper's variable
 c = lam e^{-(lam + s) eps}, which underflows instead of overflowing.
 """
 
@@ -60,19 +62,23 @@ def numeric_laplace(
     s: float,
     spec: QuadratureSpec,
     breakpoints: Iterable[float] = (),
-) -> float:
+) -> float | np.ndarray:
     """Forward Laplace transform of f at s by adaptive quadrature.
 
     Integrates e^{-s x} f(x) over [0, upper_cut], refining panels until
     the estimated error plus the analytic tail bound sup|f| e^{-s cut}/s
     fits the budget. Pass breakpoints where f has kinks (lattice points)
-    so panels stay smooth.
+    so panels stay smooth. An f with values of shape (*rows, N) has every
+    row transformed on one set of panels, each with its own tail bound.
 
     Args:
         f: Bounded vectorized function on [0, upper_cut].
         s: Transform argument, > 0.
         spec: Quadrature controls.
         breakpoints: Optional kink locations of f.
+
+    Returns:
+        The transform: a float, or an array of shape rows.
 
     Raises:
         ValueError: If s <= 0.
@@ -84,14 +90,15 @@ def numeric_laplace(
 
     # tail bound claims its share of the error budget first
     probe = np.linspace(0.0, spec.upper_cut, 513)
-    sup_f = float(np.max(np.abs(np.asarray(f(probe), dtype=float))))
+    sup_f = np.max(np.abs(np.asarray(f(probe), dtype=float)), axis=-1)
     tail = sup_f * math.exp(max(-s * spec.upper_cut, -745.0)) / s
     panel_budget = spec.abs_tol - tail
-    if panel_budget <= 0.0:
+    if np.any(panel_budget <= 0.0):
+        worst = float(np.max(tail))
         raise QuadratureError(
-            f"tail bound {tail:.3e} alone exceeds tolerance {spec.abs_tol:.1e}; "
+            f"tail bound {worst:.3e} alone exceeds tolerance {spec.abs_tol:.1e}; "
             "raise upper_cut",
-            last_estimate=tail,
+            last_estimate=worst,
         )
 
     def integrand(xs):
@@ -143,10 +150,13 @@ def count_transform_residuals(
 ) -> list[dict]:
     """Closed form vs quadrature for the count-probability transforms.
 
-    Returns one record per (n, s) pair with keys n, s, closed, numeric,
-    abs_err (|closed - numeric|) and tol (the abs_tol of the pair's
-    QuadratureSpec, the accuracy the quadrature promises). Residuals well
-    below tol are rounding noise whose bits depend on the BLAS kernel
+    Returns one record per (n, s) pair, n-major, with keys n, s, closed,
+    numeric, abs_err (|closed - numeric|) and tol (the abs_tol of the
+    pair's QuadratureSpec, the accuracy the quadrature promises). For each
+    s one quadrature transforms every requested count at once, on the
+    rows p_0..p_{n_max} of the alternating-sum grid kernel and up to the
+    largest count's cut, which is past every smaller count's. Residuals
+    well below tol are rounding noise whose bits depend on the BLAS kernel
     numpy dispatches to, so platform-stable output should report
     abs_err <= tol rather than abs_err itself. Used by the CLI and the
     acceptance suite.
@@ -154,25 +164,19 @@ def count_transform_residuals(
     from ._pn import count_prob_grid
 
     lam, eps = params.intensity, params.radius
-    rows = []
-    for n in counts:
-        for s in s_values:
-            spec = spec_for_count_transform(params, n, s)
-            cuts = [k * eps for k in range(1, int(spec.upper_cut / eps) + 1)]
+    counts, s_values = list(counts), list(s_values)
+    rows = [{"n": n, "s": s, "closed": laplace_pmf_closed(params, n, s)} for n in counts for s in s_values]
+    if not rows:
+        return rows
+    n_max = max(counts)
+    for j, s in enumerate(s_values):
+        spec = spec_for_count_transform(params, n_max, s)
+        cuts = [k * eps for k in range(1, int(spec.upper_cut / eps) + 1)]
 
-            def profile(xs, n=n):
-                return np.clip(count_prob_grid(lam, eps, np.atleast_1d(xs), n), 0.0, 1.0)
+        def profile(xs):
+            return np.clip(count_prob_grid(lam, eps, np.atleast_1d(xs), n_max)[counts], 0.0, 1.0)
 
-            numeric = numeric_laplace(profile, s, spec, breakpoints=cuts)
-            closed = laplace_pmf_closed(params, n, s)
-            rows.append(
-                {
-                    "n": n,
-                    "s": s,
-                    "closed": closed,
-                    "numeric": numeric,
-                    "abs_err": abs(closed - numeric),
-                    "tol": spec.abs_tol,
-                }
-            )
+        numeric = numeric_laplace(profile, s, spec, breakpoints=cuts)
+        for row, value in zip(rows[j :: len(s_values)], numeric):  # the rows of this s, in count order
+            row.update(numeric=float(value), abs_err=abs(row["closed"] - float(value)), tol=spec.abs_tol)
     return rows

@@ -89,8 +89,8 @@ def span_density_by_series(params: ModelParams):
         inside = xs > eps
         if inside.any():
             u = xs[inside] - eps
-            before = np.where(u >= eps, count_prob_grid(lam, eps, u - eps, 0), 0.0)
-            out[inside] = lam * damp * (count_prob_grid(lam, eps, u, 0) - damp * before)
+            before = np.where(u >= eps, count_prob_grid(lam, eps, u - eps, 0)[0], 0.0)
+            out[inside] = lam * damp * (count_prob_grid(lam, eps, u, 0)[0] - damp * before)
         return np.maximum(out, 0.0)
 
     return density
@@ -188,7 +188,7 @@ def cycle_sum_cdf_by_quadrature(params: ModelParams, n: int):
         out = np.zeros_like(xs)
         inside = xs > eps
         if inside.any():
-            out[inside] = a * count_prob_grid(lam, eps, xs[inside] - eps, n - 1)
+            out[inside] = a * count_prob_grid(lam, eps, xs[inside] - eps, n - 1)[n - 1]
         return np.maximum(out, 0.0)
 
     mean_cycle = mean_cluster_length(params) + 1.0 / lam

@@ -401,7 +401,8 @@ class TestPmfIncomplete:
         [(1.0, 1.0, 4.0), (0.7, 0.5, 3.3), (2.0, 1.0, 6.5), (1.5, 0.3, 2.9), (3.0, 0.5, 7.25)],
     )
     def test_matches_convolution_oracle(self, lam, eps, length):
-        # all but the first model decide some rows in a digit pass
+        # the oracle integrates the same step profile by quadrature, so this
+        # checks the conditioning on the last point, not the profile
         table = pmf_incomplete_table(IntervalModel(ModelParams(lam, eps), length))
         for n, p in enumerate(table.probs):
             assert p == pytest.approx(incomplete_by_convolution(lam, eps, length, n), abs=1e-12)

@@ -28,6 +28,8 @@ from clusterline import (
     numeric_laplace,
     spec_for_count_transform,
 )
+from clusterline._pn import FLOOR_SLACK, count_prob_grid, floor_ratio
+from oracles import p_n_by_digits
 
 E = math.e
 
@@ -101,6 +103,23 @@ class TestCountProbTransform:
             competing = lam**n * math.exp(w) / (s * math.exp(w) + lam) ** n
             assert abs(row["numeric"] - competing) > 1e-5
 
+    @pytest.mark.parametrize("lam,eps", [(1.0, 1.0), (2.0, 0.5), (0.7, 1.0)])
+    def test_rows_come_n_major_within_tolerance(self, lam, eps):
+        rows = count_transform_residuals(ModelParams(lam, eps), range(4), (0.5, 1.0, 2.0))
+        assert [(row["n"], row["s"]) for row in rows] == [(n, s) for n in range(4) for s in (0.5, 1.0, 2.0)]
+        assert all(row["abs_err"] < row["tol"] for row in rows)
+
+    def test_a_subset_of_counts_reads_its_own_rows(self):
+        params = ModelParams(1.0, 1.0)
+        full = {(row["n"], row["s"]): row for row in count_transform_residuals(params, range(4), (0.5, 2.0))}
+        rows = count_transform_residuals(params, [3, 1], [2.0, 0.5])
+        assert [(row["n"], row["s"]) for row in rows] == [(3, 2.0), (3, 0.5), (1, 2.0), (1, 0.5)]
+        for row in rows:
+            assert row["numeric"] == pytest.approx(full[row["n"], row["s"]]["numeric"], abs=2e-10)
+        # the benchmark's warm-up call
+        (row,) = count_transform_residuals(ModelParams(1.3, 0.7 / 1.3), [0], [1.0])
+        assert (row["n"], row["s"]) == (0, 1.0) and row["abs_err"] < row["tol"]
+
     def test_off_lattice_model_fails_promptly(self):
         # off the eps = 0.5 lattice the profile's cancellation noise fails
         # the panel test wherever it is bisected, until the budget runs out
@@ -138,6 +157,77 @@ class TestCountProbTransform:
                     assert laplace_pmf_closed(ModelParams(lam, eps), n, s) == pytest.approx(
                         pair, rel=1e-12
                     )
+
+
+def single_count_sum(lam, eps, xs, n):
+    """p_n alone, summed term by term over a mask of the points each term
+    reaches: the grid kernel's single-count form, which its rows reproduce
+    bit for bit. 1/i! is formed as the kernel forms it, for i <= 170."""
+    xs = np.asarray(xs, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.zeros_like(xs)
+        positive = xs > 0.0
+        if n == 0:
+            out[~positive] = 1.0
+        if not positive.any():
+            return out
+        a = lam * math.exp(-lam * eps)
+        x_hi = float(xs[positive].max())
+        c = x_hi * a
+        for i in range(max(floor_ratio(x_hi, eps) - n, 0) + 1):
+            k = n + i
+            active = positive & (xs >= ((k * eps) * (1.0 - FLOOR_SLACK) if k > 0 else 0.0))
+            if not active.any():
+                break
+            b = (xs[active] - k * eps) * a
+            term = (np.maximum(b, 0.0) ** k if k > 0 else np.ones_like(b)) * (1.0 / math.factorial(n) * (1.0 / math.factorial(i)))
+            out[active] += -term if i % 2 else term
+            if c < 0.5 * (i + 1) and term.max() < 1e-18:
+                break
+        return out
+
+
+class TestGridKernel:
+    """count_prob_grid's rows p_0..p_{n_max} on the check's Gauss-Legendre
+    nodes."""
+
+    @staticmethod
+    def nodes(eps, top):
+        """15 Gauss-Legendre nodes on every radius panel of [0, top], shuffled,
+        with the lattice points and x <= 0."""
+        gl, _ = np.polynomial.legendre.leggauss(15)
+        knots = np.arange(0.0, top + 0.5 * eps, eps)
+        xs = (0.5 * (knots[:-1] + knots[1:])[:, None] + 0.5 * np.diff(knots)[:, None] * gl).ravel()
+        return np.random.default_rng(7).permutation(np.concatenate([xs, knots, [-1.0, -0.0]]))
+
+    @pytest.mark.parametrize("lam,eps", [(2.0, 0.5), (1.0, 1.0), (0.7, 1.3)])
+    def test_each_row_is_the_single_count_sum_bit_for_bit(self, lam, eps):
+        xs = self.nodes(eps, 4 * eps + 40.0 / min(0.5, lam))  # the check's widest cut
+        grid = count_prob_grid(lam, eps, xs, 3)
+        for n in range(4):
+            assert grid[n].tobytes() == count_prob_grid(lam, eps, xs, n)[n].tobytes(), n
+            assert grid[n].tobytes() == single_count_sum(lam, eps, xs, n).tobytes(), n
+
+    @pytest.mark.parametrize("lam,eps,clean", [(2.0, 0.5, 10.0), (1.0, 1.0, 20.0), (0.7, 1.3, 26.0)])
+    def test_rows_match_eighty_digits_where_the_sum_is_clean(self, lam, eps, clean):
+        # past `clean` the alternating sum cancels beyond 1e-12 absolute
+        # (at (2, 0.5) it is 1e-9 off by x = 20 and 4.6e-4 by x = 40)
+        xs = self.nodes(eps, clean)[::4]
+        xs = xs[xs <= clean]
+        grid = count_prob_grid(lam, eps, xs, 3)
+        for j, x in enumerate(xs):
+            for n in range(4):
+                assert abs(grid[n, j] - float(p_n_by_digits(ModelParams(lam, eps), float(x), n))) <= 1e-12, (x, n)
+
+    def test_points_at_or_below_zero_hold_no_cluster(self):
+        grid = count_prob_grid(1.0, 1.0, np.array([-np.inf, -1.0, -0.0, 0.0, 2.5]), 2)
+        assert grid[:, :4].tolist() == [[1.0] * 4, [0.0] * 4, [0.0] * 4]
+        assert 0.0 < grid[0, 4] < 1.0
+
+    def test_shapes(self):
+        assert count_prob_grid(1.0, 1.0, 2.5, 3).shape == (4,)
+        assert count_prob_grid(1.0, 1.0, np.array([]), 3).shape == (4, 0)
+        assert count_prob_grid(1.0, 1.0, np.ones((2, 5)), 1).shape == (2, 2, 5)
 
 
 class TestTransformsInPaperVariable:
