@@ -31,20 +31,22 @@ G_m = (a eps)^m / m! (S - I)^m has the binomial entries
 g(m, l) = (a eps)^m / m! (-1)^(m - l) C(m, l) on its l-th subdiagonal.
 One _StepTable per (lam, eps, width) holds the lattice values v_i in plain
 arrays, each new one a few C-level dot products of the g(m, l) with the
-older values, and is cached and extended on demand, so every reader of a
-model shares its builds. ``count_prob_at`` reads one point off it without
-numpy and with no tail stop; ``count_prob_steps`` reads an array of points
-with numpy, Horner's rule per point over its step's coefficients, and reads
-0 past the table's 2^-60 tail stop. ``count_prob_deriv_grid`` reads p_n'
-off the same equation, so the span CDF and its density share that one
-kernel. ``incomplete_counts`` walks the same lattice once per model, with
-no table: by the last point the incomplete count integrates the profile
-against e^{-lam (L - y)}, and each step's integral is one more Horner sum
-in D = S - I. ``count_prob_grid`` sums the alternating series for
-p_0..p_{n_max} over an array in plain doubles, forming each power b_k^k once
-per point for every count, with each count's own tail stop; it backs the
-Laplace check, whose quadrature must stay independent of the step table, and
-the tests' oracles.
+older values by a plan formed once per table, and is cached and extended on
+demand, so every reader of a model shares its builds. ``count_prob_at``
+reads one point off it without numpy and with no tail stop, growing it a
+step at a time as a grid read in order reaches past it; ``count_prob_steps``
+reads an array of points with numpy and reads 0 past the table's 2^-60 tail
+stop. Both run Horner's rule in t per point over its step's coefficients.
+``count_prob_deriv_grid`` reads p_n' off the same equation, so the span CDF
+and its density share that one kernel. ``incomplete_counts`` walks the same
+lattice once per model, with no table, one Horner chain in D = S - I per
+step: by the last point the incomplete count integrates the profile against
+e^{-lam (L - y)}, and the full steps' integrals are one more chain over
+damped running sums of the lattice values. ``count_prob_grid`` sums the
+alternating series for p_0..p_{n_max} over an array in plain doubles,
+forming each power b_k^k once per point for every count, with each count's
+own tail stop; it backs the Laplace check, whose quadrature must stay
+independent of the step table, and the tests' oracles.
 
 The scalar series, count_prob_at and incomplete_counts need only math (and
 mpmath for digit passes); the three array kernels import numpy when
@@ -59,7 +61,7 @@ from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import repeat
 from operator import add, mul, sub, truediv
 from typing import TYPE_CHECKING, Callable
 
@@ -199,12 +201,14 @@ class _StepTable:
     g(m, l) = h^m / m! (-1)^(m - l) C(m, l), h = a eps, for m = degree down to
     l: the t^m coefficient of p_k on step j is sum_l g(m, l) p_{k-l}((j - m) eps),
     so each lattice value is a few dot products of a ``lags`` row with a slice
-    of a column. ``degree`` is the smallest d with (2h)^(d+1) / (d+1)! <
-    _STEP_DROP, a bound on every dropped coefficient's row sum. ``stop`` is
-    the first step where sum_k p_k < 2^-60, once built.
+    of a column. ``plan[k]`` lists those (lag row, source column) pairs of row
+    k, formed once with the table and shared by ``extend`` and count_prob_at.
+    ``degree`` is the smallest d with (2h)^(d+1) / (d+1)! < _STEP_DROP, a bound
+    on every dropped coefficient's row sum. ``stop`` is the first step where
+    sum_k p_k < 2^-60, once built.
     """
 
-    __slots__ = ("degree", "lags", "columns", "steps", "stop", "last_read")
+    __slots__ = ("degree", "lags", "plan", "columns", "steps", "stop", "last_read")
 
     def __init__(self, h: float, width: int):
         degree = _step_degree(h, _STEP_DROP)
@@ -214,6 +218,9 @@ class _StepTable:
             [scale[m] * (-1) ** (m - l) * math.comb(m, l) for m in range(degree, l - 1, -1)]
             for l in range(min(degree, width - 1) + 1)
         ]
+        # the row of l runs m = d down to l, so a map of it over a window of
+        # d + 1 values, oldest first, stops at m = l
+        self.plan = [[(self.lags[l], k - l) for l in range(min(degree, k) + 1)] for k in range(width)]
         self.columns = [array("d", [0.0] * degree + [float(k == 0)]) for k in range(width)]
         self.steps = 0
         self.stop = None
@@ -226,17 +233,18 @@ class _StepTable:
     def extend(self, steps: int, stop: bool) -> None:
         """Build through step ``steps``, or only to the tail stop if ``stop``."""
         d, columns = self.degree, self.columns
-        for column in columns:  # drop what an interrupted build appended
-            del column[d + self.steps + 1 :]
-        # p_k(j eps) = sum_l sum_m g(m, l) p_{k-l}((j - 1 - m) eps), oldest first;
-        # the row of l is d - l + 1 long, so map stops inside the window
-        plan = [(column, [(self.lags[l], k - l) for l in range(min(d, k) + 1)]) for k, column in enumerate(columns)]
+        # drop what an interrupted build appended: a step appends to the
+        # columns in order, so it has lengthened the first
+        if len(columns[0]) > d + self.steps + 1:
+            for column in columns:
+                del column[d + self.steps + 1 :]
+        # p_k(j eps) = sum_l sum_m g(m, l) p_{k-l}((j - 1 - m) eps), oldest first
         for j in range(self.steps + 1, steps + 1):
             if stop and self.stop is not None:
                 break
             windows = [column[j - 1 : d + j] for column in columns]
             total = 0.0
-            for column, terms in plan:
+            for column, terms in zip(columns, self.plan):
                 value = 0.0
                 for lag, source in terms:
                     value += sum(map(mul, lag, windows[source]))
@@ -272,9 +280,11 @@ class _StepTables:
             else:
                 self._tables.move_to_end(key)
             if steps > table.steps:
-                before = table.size()
-                table.extend(steps, stop)
-                self._values += table.size() - before
+                built = table.steps
+                try:
+                    table.extend(steps, stop)
+                finally:  # an interrupted build keeps, and counts, the steps it finished
+                    self._values += len(table.columns) * (table.steps - built)
             while self._values > _CACHE_VALUES and len(self._tables) > 1:
                 self._values -= self._tables.popitem(last=False)[1].size()
             self._last = (key, table)
@@ -292,10 +302,11 @@ _STEP_TABLES = _StepTables()
 
 def count_prob_at(lam: float, eps: float, x: float, n: int) -> float:
     """p_n(x) off the model's step table, with no tail stop, and without numpy:
-    on step j (x = eps (j + t)) it is the dot product of t^m with the step's
-    coefficients c_m = sum_l g(m, l) p_{n-l}((j - m) eps). The coefficients of
-    the step read last are kept, so a grid read in order forms them once per
-    step.
+    on step j (x = eps (j + t)) it is Horner's rule in t over the step's
+    coefficients c_m = sum_l g(m, l) p_{n-l}((j - m) eps), formed from the
+    table's plan. The coefficients of the step read last are kept, so a grid
+    read in order forms them once per step, and a read one step past the table
+    extends it by that step.
 
     Raises:
         CapacityError: Before building, for x past STEP_TABLE_BUDGET / (n + 1) steps.
@@ -307,15 +318,18 @@ def count_prob_at(lam: float, eps: float, x: float, n: int) -> float:
         raise CapacityError(f"p_{n} at x = {x:g} needs over {limit} steps of eps = {eps:g} (STEP_TABLE_BUDGET)")
     j = math.floor(u)
     table = _STEP_TABLES.get(lam, eps, n + 1, j, False)
-    d = table.degree
     read_j, coefs = table.last_read
     if read_j != j:  # a grid read in order holds a few points per step
-        lags, columns = table.lags, table.columns
-        coefs = list(map(mul, lags[0], columns[n][j : d + j + 1]))  # m = d .. 0
-        for l in range(1, min(d, n) + 1):
-            coefs[: d - l + 1] = map(add, coefs, map(mul, lags[l], columns[n - l][j : d + j - l + 1]))
+        end, columns = table.degree + j + 1, table.columns
+        (lag, source), *terms = table.plan[n]
+        coefs = list(map(mul, lag, columns[source][j:end]))  # m = d .. 0
+        for lag, source in terms:
+            coefs[: len(lag)] = map(add, coefs, map(mul, lag, columns[source][j:end]))
         table.last_read = (j, coefs)
-    return sum(map(mul, accumulate(repeat(u - j, d), mul, initial=1.0), reversed(coefs)))
+    t, value = u - j, 0.0
+    for c in coefs:
+        value = value * t + c
+    return value
 
 
 def _damped_moments(b: float, degree: int) -> list[float]:
@@ -356,13 +370,20 @@ def incomplete_counts(lam: float, eps: float, length: float) -> tuple[float, ...
     With the last point at y, every other cluster is complete on [0, y], so
     q_n(L) = delta_{n0} e^{-lam L} + lam int_0^L e^{-lam (L - y)} p_{n-1}(y) dy.
     The pass walks the lattice v_j = p(j eps), j + 1 long as p_n(j eps) = 0
-    for n >= j, by v_{j+1} = sum_m c_m D^m v_{j-m}, c_m = (a eps)^m / m!, and
-    adds step j's integral (y = eps (j + s), 0 <= s <= tau, with tau = 1 but
-    on the last, partial step) as eps e^{-lam (L - eps (j + tau))}
-    sum_m w_m D^m v_{j-m}, w_m = c_m int_0^tau e^{-lam eps (tau - s)} s^m ds
-    <= c_m / (m + 1): damped to the step's end, no weight overflows at large
-    lam eps. The degree is min(J, _step_degree at 1e-45). Nothing cancels
-    between steps: every entry is within 1e-12 relative plus 1e-43 absolute.
+    for n >= j, by v_{j+1} = sum_m c_m D^m v_{j-m}, c_m = (a eps)^m / m!, one
+    Horner chain in D = S - I per step. Step j's integral (y = eps (j + s),
+    0 <= s <= tau, with tau = 1 but on the last, partial step) is
+    eps e^{-lam (L - eps (j + tau))} sum_m w_m D^m v_{j-m},
+    w_m = c_m int_0^tau e^{-lam eps (tau - s)} s^m ds <= c_m / (m + 1): damped
+    to the step's end, no weight overflows at large lam eps. With
+    s_j = lam eps e^{-lam (L - eps (j + 1))}, the J full steps sum to
+        sum_j s_j sum_m w_m D^m v_{j-m}
+            = lam eps e^{-lam (L - eps J)} sum_m w_m D^m R_{J-1-m},
+    where R_k = e^{-lam eps} R_{k-1} + v_k is a damped running sum, kept for
+    the last degree + 1 steps: each step adds one update as long as v_j, and
+    the full steps' integrals are one chain after the walk. The degree is
+    min(J, _step_degree at 1e-45). Nothing cancels between steps: every entry
+    is within 1e-12 relative plus 1e-43 absolute.
     """
     steps = floor_ratio(length, eps)
     h = lam * math.exp(-lam * eps) * eps
@@ -372,13 +393,16 @@ def incomplete_counts(lam: float, eps: float, length: float) -> tuple[float, ...
         [c * tau ** (m + 1) * w for m, (c, w) in enumerate(zip(coefs, _damped_moments(lam * eps * tau, degree)))]
         for tau in (1.0, max(length / eps - steps, 0.0))
     )
-    counts = [math.exp(-lam * length)] + [0.0] * (steps + 1)
+    damp = math.exp(-lam * eps)
     history = [[1.0]]  # v_j, v_{j-1}, .. back to v_{j-degree}
+    sums = [[]]  # R_{j-1}, R_{j-2}, .. back to R_{j-1-degree}; R_{-1} = 0 holds no entry
     for j in range(steps):
-        scale = lam * eps * math.exp(-lam * (length - eps * (j + 1)))
-        counts[1 : j + 2] = map(add, counts[1 : j + 2], map(mul, repeat(scale), _horner_in_d(full, history)))
+        v = history[0]
+        sums.insert(0, [*map(add, map(mul, repeat(damp), sums[0]), v), v[-1]])
         history.insert(0, _horner_in_d(coefs, history) + [0.0])
-        del history[degree + 1 :]
+        del history[degree + 1 :], sums[degree + 1 :]
+    scale = lam * eps * math.exp(-lam * (length - eps * steps))
+    counts = [math.exp(-lam * length), *map(mul, repeat(scale), _horner_in_d(full, sums)), 0.0]
     counts[1:] = map(add, counts[1:], map(mul, repeat(lam * eps), _horner_in_d(last, history)))
     return tuple(counts)
 

@@ -43,6 +43,7 @@ from .component_counts import (
     pmf_incomplete_table,
     var_complete,
 )
+from .errors import CapacityError
 
 SCHEMA_VERSION = "1"
 SCENARIO_NAMES = "|".join(name.replace("_", "-") for name in SCENARIOS)
@@ -185,18 +186,21 @@ def _cmd_coverage(args) -> None:
 
 def _cmd_density(args) -> None:
     params = ModelParams(args.lam, args.epsilon)
-    rows = []
+    mean_span = mean_cluster_length(params)
+    if args.law == "B":  # to ten mean spans
+        x_max = params.radius + 10.0 * mean_span
+    else:  # argparse allows only B and U; to ten mean n-cycle sums
+        x_max = params.radius + 10.0 * args.n * (mean_span + 1.0 / params.intensity)
+    if x_max == math.inf:  # e^{lam eps} or the grid's end overflows
+        lam_eps = params.intensity * params.radius
+        raise CapacityError(f"the density grid at lambda*epsilon = {lam_eps:g} ends past STEP_TABLE_BUDGET steps")
+    xs = _linspace(params.radius, x_max, args.points)
     if args.law == "B":
         mixed = cluster_length_law(params)
-        x_max = params.radius + 10.0 * mean_cluster_length(params)
-        xs = _linspace(params.radius, x_max, args.points)
-        rows.append({"kind": "atom", "x": mixed.atom_location, "value": mixed.atom_mass})
+        rows = [{"kind": "atom", "x": mixed.atom_location, "value": mixed.atom_mass}]
         rows.extend({"kind": "density", "x": x, "value": float(d)} for x, d in zip(xs, mixed.density(xs)))
-    else:  # argparse allows only B and U
-        order = args.n
-        x_max = params.radius + 10.0 * order * (mean_cluster_length(params) + 1.0 / params.intensity)
-        xs = _linspace(params.radius, x_max, args.points)
-        rows.extend({"kind": "density", "x": x, "value": cycle_sum_density(params, order, x)} for x in xs)
+    else:
+        rows = [{"kind": "density", "x": x, "value": cycle_sum_density(params, args.n, x)} for x in xs]
     _emit(args, "density", ["kind", "x", "value"], rows)
 
 

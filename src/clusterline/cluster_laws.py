@@ -116,8 +116,13 @@ def laplace_cycle_sum(params: ModelParams, n: int, s: float) -> float:
 
 
 def mean_cluster_length(params: ModelParams) -> float:
-    """Mean cluster span, (e^{lam*eps} - 1) / lam."""
-    return math.expm1(params.intensity * params.radius) / params.intensity
+    """Mean cluster span, (e^{lam*eps} - 1) / lam; inf where e^{lam*eps}
+    overflows (lam*eps above about 709.78)."""
+    try:
+        grown = math.expm1(params.intensity * params.radius)
+    except OverflowError:
+        return math.inf
+    return grown / params.intensity
 
 
 def cluster_length_law(params: ModelParams) -> MixedLaw:
@@ -132,7 +137,7 @@ def cluster_length_law(params: ModelParams) -> MixedLaw:
     the delay equation on the method-of-steps profile. The atom is forced
     by the jump of p0 from 0 to 1 at argument zero; without it the density
     alone would integrate to 1 - e^{-lam*eps}. Raises CapacityError past
-    the kernel's budget, as the CDF does.
+    the kernel's budget, as the CDF does, and ValueError at nan.
     """
     lam, eps = params.intensity, params.radius
     damp = math.exp(-lam * eps)
@@ -142,6 +147,8 @@ def cluster_length_law(params: ModelParams) -> MixedLaw:
 
         scalar = np.isscalar(x)
         xs = np.atleast_1d(np.asarray(x, dtype=float))
+        if np.isnan(xs).any():
+            raise ValueError("the density's argument is nan")
         here, before = count_prob_deriv_grid(lam, eps, np.stack([xs, xs - eps]), 0)
         out = np.where(xs > eps, np.maximum(damp * before - here, 0.0), 0.0)
         return float(out[0]) if scalar else out
@@ -181,7 +188,8 @@ def cycle_sum_density(params: ModelParams, n: int, x: float) -> float:
 def cluster_length_cdf(params: ModelParams) -> Callable:
     """CDF of the cluster span as a vectorized callable, with the atom's jump
     at the radius: by the renewal identity, 1 - p0(x) + e^{-lam eps} p0(x - eps)
-    for x >= eps and 0 below. Raises CapacityError past the kernel's budget.
+    for x >= eps and 0 below. Raises CapacityError past the kernel's budget,
+    and ValueError at nan.
     """
     lam, eps = params.intensity, params.radius
     damp = math.exp(-lam * eps)
@@ -198,7 +206,8 @@ def cluster_length_cdf(params: ModelParams) -> Callable:
 def cycle_sum_cdf(params: ModelParams, n: int) -> Callable:
     """CDF of the sum of n cycles as a vectorized callable (no atom): the n-th
     cycle ends by x when [0, x] holds n complete clusters, so it is
-    1 - sum_{k<n} p_k(x). Raises CapacityError past the kernel's budget.
+    1 - sum_{k<n} p_k(x). Raises CapacityError past the kernel's budget,
+    and ValueError at nan.
     """
     if n < 1:
         raise ValueError(f"cycle count must be positive, got {n}")
@@ -211,7 +220,10 @@ def _cdf(values: Callable[[np.ndarray], np.ndarray]) -> Callable:
         import numpy as np
 
         scalar = np.isscalar(x)
-        out = np.clip(values(np.atleast_1d(np.asarray(x, dtype=float))), 0.0, 1.0)
+        xs = np.atleast_1d(np.asarray(x, dtype=float))
+        if np.isnan(xs).any():
+            raise ValueError("the CDF's argument is nan")
+        out = np.clip(values(xs), 0.0, 1.0)
         return float(out[0]) if scalar else out
 
     return cdf

@@ -52,7 +52,12 @@ def spec_for_count_transform(params: ModelParams, n: int, s: float) -> Quadratur
     The profile vanishes below n radii and the integrand decays at rate
     min(s, intensity), so (n+1) eps + 40 / min(s, lam) captures the mass
     far past any stated tolerance.
+
+    Raises:
+        ValueError: If s <= 0 or s is nan.
     """
+    if not s > 0.0:
+        raise ValueError(f"transform argument must be positive, got {s}")
     cut = (n + 1) * params.radius + 40.0 / min(s, params.intensity)
     return QuadratureSpec(abs_tol=1e-10, upper_cut=cut)
 

@@ -81,6 +81,15 @@ def test_density_past_the_step_budget_exits_one_promptly(capsys):
     assert "STEP_TABLE_BUDGET" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("law", ["B", "U"])
+def test_density_past_the_exponent_range_exits_one_before_building(capsys, law):
+    # lam eps = 800: the mean span e^{lam eps} overflows, and the grid with it
+    start = time.perf_counter()
+    assert main(f"density --law {law} --lambda 1 --epsilon 800".split()) == 1
+    assert time.perf_counter() - start < 1.0
+    assert "STEP_TABLE_BUDGET" in capsys.readouterr().err
+
+
 def test_incomplete_past_the_support_budget_exits_one_promptly(capsys):
     # support 10001: the table's cost is quadratic in it, so it is refused up front
     start = time.perf_counter()

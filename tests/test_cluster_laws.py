@@ -6,6 +6,7 @@ sum and their own transform identities."""
 import math
 import time
 import tracemalloc
+from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -151,6 +152,12 @@ class TestMeanSpan:
         p = ModelParams(2.0, 0.5)
         assert mean_cluster_length(p) == pytest.approx((E - 1.0) / 2.0, abs=1e-12)
         assert mean_cluster_length(p) == pytest.approx(self.finite_difference_mean(p), rel=1e-5)
+
+    def test_reads_inf_past_the_exponent_range(self):
+        # e^{lam eps} overflows a double above lam eps = 709.78
+        assert mean_cluster_length(ModelParams(1.0, 709.0)) == pytest.approx(math.expm1(709.0))
+        assert mean_cluster_length(ModelParams(1.0, 710.0)) == math.inf
+        assert mean_cluster_length(ModelParams(2.0, 400.0)) == math.inf
 
 
 class TestSpanLaw:
@@ -415,6 +422,58 @@ class TestStepTables:
         assert whole.steps == pieces.steps == 600 and whole.stop == pieces.stop
         assert [column.tobytes() for column in pieces.columns] == [column.tobytes() for column in whole.columns]
 
+    @pytest.mark.parametrize("lam_eps", [0.5, 1.0, 6.0])
+    def test_a_table_grown_by_reads_is_the_table_built_at_once(self, lam_eps):
+        # count_prob_at grows the cached table a step at a time, count_prob_steps
+        # builds ahead to the tail stop, and one step is cut off after its first
+        # column, as a deadline's exception would cut it
+        class Interrupt(BaseException):
+            pass
+
+        class TrippedColumn(array):
+            def append(self, value):
+                self.append = super().append  # the next build's appends go through
+                raise Interrupt
+
+        lam, width = 1.3, 3
+        eps = lam_eps / lam
+        whole = _StepTable(lam * math.exp(-lam * eps) * eps, width)
+        whole.extend(300, False)
+        _STEP_TABLES.clear()
+        try:
+            for j in range(300):
+                if j == 41:
+                    table = _STEP_TABLES.get(lam, eps, width, 0, False)
+                    table.columns[1] = TrippedColumn("d", table.columns[1])
+                    with pytest.raises(Interrupt):
+                        count_prob_at(lam, eps, eps * (table.steps + 1.5), width - 1)
+                    assert len(table.columns[0]) > len(table.columns[1])
+                count_prob_at(lam, eps, eps * (j + 0.5), width - 1)
+                if j % 7 == 0:
+                    count_prob_steps(lam, eps, np.array([eps * (j + 3.25)]), width - 1)
+            table = _STEP_TABLES.get(lam, eps, width, 300, False)
+        finally:
+            _STEP_TABLES.clear()
+        assert table.steps == 300 and table.stop == whole.stop
+        assert [column.tobytes() for column in table.columns] == [column.tobytes() for column in whole.columns]
+
+    @pytest.mark.parametrize("lam_eps", [0.5, 1.0, 6.0])
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_scalar_reads_are_the_array_reads_to_a_few_ulp(self, lam_eps, n):
+        lam = 1.3
+        eps = lam_eps / lam
+        _STEP_TABLES.clear()
+        try:
+            count_prob_steps(lam, eps, np.array([1e4 * eps]), n)  # builds to the tail stop
+            stop = _STEP_TABLES.get(lam, eps, n + 1, 0, False).stop
+            xs = np.linspace(0.0, stop * eps, 16 * stop + 1)[:-1]
+            at = np.array([count_prob_at(lam, eps, float(x), n) for x in xs])
+            steps = count_prob_steps(lam, eps, xs, n)[n]
+        finally:
+            _STEP_TABLES.clear()
+        assert steps.min() < 1e-17
+        np.testing.assert_array_max_ulp(at, steps, maxulp=4)
+
     def test_reads_do_not_depend_on_how_the_table_grew(self):
         p = ModelParams(0.8, 1.5)
         xs = np.linspace(0.0, 120.0, 301)
@@ -562,6 +621,19 @@ class TestSpanDensity:
         p = ModelParams(1.0, 1.0)
         assert cluster_length_law(p).density(np.inf) == 0.0
         assert cluster_length_density_at(p, np.inf) == 0.0
+
+    def test_span_density_and_the_cdfs_refuse_nan(self):
+        p = ModelParams(1.0, 1.0)
+        calls = [
+            cluster_length_law(p).density,
+            lambda x: cluster_length_density_at(p, x),
+            cluster_length_cdf(p),
+            cycle_sum_cdf(p, 2),
+        ]
+        for call in calls:
+            for x in (math.nan, np.array([1.5, math.nan, 3.0])):
+                with pytest.raises(ValueError, match="nan"):
+                    call(x)
 
     def test_cycle_sum_density_reads_zero_at_infinity_and_refuses_nan(self):
         p = ModelParams(1.0, 1.0)

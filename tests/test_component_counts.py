@@ -375,6 +375,31 @@ def incomplete_mean_identity(lam, eps, length):
     return (1.0 - math.exp(-lam * capped)) + lam * max(length - eps, 0.0) * math.exp(-lam * eps)
 
 
+def two_chain_incomplete_counts(lam, eps, length):
+    """_pn.incomplete_counts as it was before the running sums: every step
+    runs one Horner chain in D for its own integral and one for the lattice
+    advance, and adds its integral scaled to the interval's end. Kept as
+    the reference of the one-chain walk."""
+    steps = floor_ratio(length, eps)
+    h = lam * math.exp(-lam * eps) * eps
+    degree = min(_pn._step_degree(h, _pn._INCOMPLETE_DROP), steps)
+    coefs = [h**m / math.factorial(m) for m in range(degree + 1)]
+    full, last = (
+        [c * tau ** (m + 1) * w for m, (c, w) in enumerate(zip(coefs, _pn._damped_moments(lam * eps * tau, degree)))]
+        for tau in (1.0, max(length / eps - steps, 0.0))
+    )
+    counts = [math.exp(-lam * length)] + [0.0] * (steps + 1)
+    history = [[1.0]]
+    for j in range(steps):
+        scale = lam * eps * math.exp(-lam * (length - eps * (j + 1)))
+        integral = _pn._horner_in_d(full, history)
+        counts[1 : j + 2] = [c + scale * x for c, x in zip(counts[1 : j + 2], integral)]
+        history.insert(0, _pn._horner_in_d(coefs, history) + [0.0])
+        del history[degree + 1 :]
+    counts[1:] = [c + lam * eps * x for c, x in zip(counts[1:], _pn._horner_in_d(last, history))]
+    return counts
+
+
 class TestPmfIncomplete:
     def test_zero_count_is_empty_interval(self):
         assert pmf_incomplete(unit_model(), 0) == pytest.approx(math.exp(-4.0), abs=1e-12)
@@ -421,6 +446,18 @@ class TestPmfIncomplete:
             for n, p in enumerate(pmf_incomplete_table(model).probs):
                 exact = float(incomplete_by_digits(params, length, n))
                 assert abs(p - exact) <= 1e-12 * exact + 1e-43, (params, length, n)
+
+    def test_one_chain_walk_matches_the_two_chain_walk(self):
+        # criterion 2's 500 models, then a lam eps past the exponent range
+        # (every weight damped), the model whose tail the old series lost
+        # and a fine radius (250 steps); the walks differ only in rounding
+        models = [(m.params.intensity, m.params.radius, m.length) for m in random_models(500, seed=20240601)]
+        for lam, eps, length in models + [(800.0, 1.0, 3.5), (0.05, 1.0, 40.0), (1.0, 0.004, 1.0)]:
+            walk = _pn.incomplete_counts(lam, eps, length)
+            reference = two_chain_incomplete_counts(lam, eps, length)
+            assert len(walk) == len(reference)
+            for n, (q, ref) in enumerate(zip(walk, reference)):
+                assert abs(q - ref) <= 1e-13 * abs(ref) + 1e-45, (lam, eps, length, n)
 
     @pytest.mark.parametrize("eps", [0.004, 0.002])
     def test_fine_radius_table_is_normalised(self, eps):

@@ -321,6 +321,11 @@ class TestMomentTransform:
 
 
 class TestSpecForCountTransform:
+    @pytest.mark.parametrize("s", [0.0, -1.0, math.nan])
+    def test_refuses_a_transform_argument_that_is_not_positive(self, s):
+        with pytest.raises(ValueError, match="transform argument"):
+            spec_for_count_transform(ModelParams(1.0, 1.0), 3, s)
+
     def test_cut_covers_support_and_decay(self):
         params = ModelParams(1.0, 1.0)
         spec = spec_for_count_transform(params, 3, 0.5)
