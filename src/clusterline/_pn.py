@@ -25,18 +25,15 @@ x, x a p_{n-1}(x - eps) / n for n >= 1 and p_0(x) - a eps p_0(x - eps) at 0.
 The method of steps solves the delay equation p_n'(x) = a [p_{n-1}(x - eps)
 - p_n(x - eps)], a = lam e^{-lam eps}, p_n = delta_{n0} on [0, eps]: on step
 j (x = eps (j + t), 0 <= t <= 1) each p_n is a polynomial in t, one
-integration of the last step's. Nothing cancels. Its t^m coefficient is
-G_m v_{j-m}, where v_i holds the profile at i eps and the lag matrix
-G_m = (a eps)^m / m! (S - I)^m has the binomial entries
-g(m, l) = (a eps)^m / m! (-1)^(m - l) C(m, l) on its l-th subdiagonal.
-One _StepTable per (lam, eps, width) holds the lattice values v_i in plain
-arrays, each new one a few C-level dot products of the g(m, l) with the
-older values by a plan formed once per table, and is cached and extended on
-demand, so every reader of a model shares its builds. ``count_prob_at``
-reads one point off it without numpy and with no tail stop, growing it a
-step at a time as a grid read in order reaches past it; ``count_prob_steps``
-reads an array of points with numpy and reads 0 past the table's 2^-60 tail
-stop. Both run Horner's rule in t per point over its step's coefficients.
+integration of the last step's. Nothing cancels. With v_i the profile at
+i eps and E = I - S the difference across counts, its t^m coefficient is
+s_m (E^m v_{j-m})_n, s_m = (-a eps)^m / m!. One _StepTable per
+(lam, eps, width), cached and extended on demand for every reader of the
+model, holds the v_i and a cursor of those differences at one step, moved
+by one difference recurrence. ``count_prob_at`` reads a point off the
+cursor without numpy or tail stop; ``count_prob_steps`` forms the same
+coefficients with numpy for an array and reads 0 past the table's 2^-60
+tail stop. Both run Horner's rule in t, so they read the same bits.
 ``count_prob_deriv_grid`` reads p_n' off the same equation, so the span CDF
 and its density share that one kernel. ``incomplete_counts`` walks the same
 lattice once per model, with no table, one Horner chain in D = S - I per
@@ -77,9 +74,9 @@ FLOOR_SLACK = 1e-12
 _TAIL_CUTOFF = 1e-18
 _LOG_UNDERFLOW = -760.0
 
-# Method of steps: the lag rows of the t^m coefficient sum to at most
-# (2 a eps)^m / m!, and a table drops the m where that is under _STEP_DROP:
-# degree 25 where a eps is near its peak 1/e (lam eps = 1), 12 at lam eps = 6.
+# Method of steps: the t^m coefficient's rows sum to at most (2 a eps)^m / m!,
+# and a table drops the m where that is under _STEP_DROP: degree 25 where
+# a eps is near its peak 1/e (lam eps = 1), 12 at lam eps = 6.
 # A table's tail stop is its first step with P(N <= n_max) < 2^-60. One table
 # holds at most STEP_TABLE_BUDGET values; tables of other models are kept
 # while all of them hold at most _CACHE_VALUES (a bound of 2^19 let the
@@ -91,6 +88,7 @@ _INCOMPLETE_DROP = 1e-45
 _STEP_TAIL = 2.0**-60
 STEP_TABLE_BUDGET = 1 << 19
 _CACHE_VALUES = 1 << 16
+_READ_VALUES = 1 << 18  # t^m coefficients count_prob_steps forms at once (2 MB)
 
 
 def floor_ratio(x: float, eps: float) -> int:
@@ -194,65 +192,66 @@ def _step_degree(h: float, drop: float) -> int:
 
 class _StepTable:
     """p_0..p_{width-1} at the lattice points j eps of one model, by the method
-    of steps, extended on demand.
-
-    ``columns[k][degree + j]`` holds p_k(j eps), after ``degree`` zeros for the
-    steps before 0, and ``lags[l]`` the lag coefficients
-    g(m, l) = h^m / m! (-1)^(m - l) C(m, l), h = a eps, for m = degree down to
-    l: the t^m coefficient of p_k on step j is sum_l g(m, l) p_{k-l}((j - m) eps),
-    so each lattice value is a few dot products of a ``lags`` row with a slice
-    of a column. ``plan[k]`` lists those (lag row, source column) pairs of row
-    k, formed once with the table and shared by ``extend`` and count_prob_at.
+    of steps, extended on demand. ``columns[k][degree + j]`` holds
+    v_j[k] = p_k(j eps), after ``degree`` zeros for the steps before 0,
+    ``coefs[m]`` s_m = (-h)^m / m!, h = a eps, and ``cursor`` (i, rows),
+    rows[k][m] = (E^m v_{i-m})_k, which depends only on v_{i-degree..i}.
     ``degree`` is the smallest d with (2h)^(d+1) / (d+1)! < _STEP_DROP, a bound
     on every dropped coefficient's row sum. ``stop`` is the first step where
     sum_k p_k < 2^-60, once built.
     """
 
-    __slots__ = ("degree", "lags", "plan", "columns", "steps", "stop", "last_read")
+    __slots__ = ("degree", "coefs", "columns", "steps", "stop", "cursor", "last_read")
 
     def __init__(self, h: float, width: int):
-        degree = _step_degree(h, _STEP_DROP)
-        scale = [h**m / math.factorial(m) for m in range(degree + 1)]
-        self.degree = degree
-        self.lags = [
-            [scale[m] * (-1) ** (m - l) * math.comb(m, l) for m in range(degree, l - 1, -1)]
-            for l in range(min(degree, width - 1) + 1)
-        ]
-        # the row of l runs m = d down to l, so a map of it over a window of
-        # d + 1 values, oldest first, stops at m = l
-        self.plan = [[(self.lags[l], k - l) for l in range(min(degree, k) + 1)] for k in range(width)]
+        self.degree = degree = _step_degree(h, _STEP_DROP)
+        self.coefs = [(-h) ** m / math.factorial(m) for m in range(degree + 1)]
         self.columns = [array("d", [0.0] * degree + [float(k == 0)]) for k in range(width)]
-        self.steps = 0
-        self.stop = None
+        self.steps, self.stop = 0, None
+        self.cursor = (0, [[float(k == 0)] + [0.0] * degree for k in range(width)])
         self.last_read = (-1, None)  # (j, t^m coefficients of p_{width-1} on step j), for count_prob_at
 
     def size(self) -> int:
-        """Doubles held, each lag coefficient (a float in a list) counted as four."""
-        return len(self.columns) * len(self.columns[0]) + 4 * sum(map(len, self.lags))
+        """Doubles held, each float of the cursor (a float in a list) counted as four."""
+        return len(self.columns) * (len(self.columns[0]) + 4 * (self.degree + 1))
 
-    def extend(self, steps: int, stop: bool) -> None:
-        """Build through step ``steps``, or only to the tail stop if ``stop``."""
-        d, columns = self.degree, self.columns
-        # drop what an interrupted build appended: a step appends to the
-        # columns in order, so it has lengthened the first
-        if len(columns[0]) > d + self.steps + 1:
-            for column in columns:
-                del column[d + self.steps + 1 :]
-        # p_k(j eps) = sum_l sum_m g(m, l) p_{k-l}((j - 1 - m) eps), oldest first
-        for j in range(self.steps + 1, steps + 1):
-            if stop and self.stop is not None:
-                break
-            windows = [column[j - 1 : d + j] for column in columns]
-            total = 0.0
-            for column, terms in zip(columns, self.plan):
-                value = 0.0
-                for lag, source in terms:
-                    value += sum(map(mul, lag, windows[source]))
+    def advance(self, cursor: tuple) -> tuple:
+        """The cursor a step on, rows'[k] = [v_{i+1}[k]] + (rows[k] - rows[k-1])[:degree], v_{i+1}
+        off the columns or built as sum_m s_m rows[k][m]; replaced whole for lock-free reads."""
+        i, rows = cursor
+        d, coefs, j = self.degree, self.coefs, i + 1
+        build, total, ahead = j > self.steps, 0.0, []
+        for column, row in zip(self.columns, rows):
+            if build:
+                value = sum(map(mul, coefs, row))
                 column.append(value)
                 total += value
-            self.steps = j
+            else:
+                value = column[d + j]
+            ahead.append([value, *map(sub, row[:d], lower)] if ahead else [value, *row[:d]])
+            lower = row
+        if build:
             if self.stop is None and total < _STEP_TAIL:
                 self.stop = j
+            self.steps = j
+        self.cursor = cursor = (j, ahead)
+        return cursor
+
+    def walk(self, j: int, stop: bool = False) -> tuple:
+        """The cursor at step j, building past the table's end (only to the tail
+        stop if ``stop``), from zeros degree + 1 steps before min(j, steps) when
+        that is behind the cursor or far ahead."""
+        d, columns, start, cursor = self.degree, self.columns, min(j, self.steps), self.cursor
+        # before building, drop what an interrupted build appended: a step
+        # appends to the columns in order, so it has lengthened the first
+        if j > start and len(columns[0]) > d + start + 1:
+            for column in columns:
+                del column[d + start + 1 :]
+        if not cursor[0] <= start <= cursor[0] + d + 1:
+            cursor = (start - d - 1, [[0.0] * (d + 1)] * len(columns))
+        while cursor[0] < j and not (stop and self.stop is not None):
+            cursor = self.advance(cursor)
+        return cursor
 
 
 class _StepTables:
@@ -282,7 +281,7 @@ class _StepTables:
             if steps > table.steps:
                 built = table.steps
                 try:
-                    table.extend(steps, stop)
+                    table.walk(steps, stop)
                 finally:  # an interrupted build keeps, and counts, the steps it finished
                     self._values += len(table.columns) * (table.steps - built)
             while self._values > _CACHE_VALUES and len(self._tables) > 1:
@@ -302,11 +301,9 @@ _STEP_TABLES = _StepTables()
 
 def count_prob_at(lam: float, eps: float, x: float, n: int) -> float:
     """p_n(x) off the model's step table, with no tail stop, and without numpy:
-    on step j (x = eps (j + t)) it is Horner's rule in t over the step's
-    coefficients c_m = sum_l g(m, l) p_{n-l}((j - m) eps), formed from the
-    table's plan. The coefficients of the step read last are kept, so a grid
-    read in order forms them once per step, and a read one step past the table
-    extends it by that step.
+    on step j (x = eps (j + t)), Horner's rule in t over s_m (E^m v_{j-m})_n
+    off the table's cursor, the bits count_prob_steps reads. The step read
+    last keeps its coefficients, and a read one step past the table extends it.
 
     Raises:
         CapacityError: Before building, for x past STEP_TABLE_BUDGET / (n + 1) steps.
@@ -320,11 +317,7 @@ def count_prob_at(lam: float, eps: float, x: float, n: int) -> float:
     table = _STEP_TABLES.get(lam, eps, n + 1, j, False)
     read_j, coefs = table.last_read
     if read_j != j:  # a grid read in order holds a few points per step
-        end, columns = table.degree + j + 1, table.columns
-        (lag, source), *terms = table.plan[n]
-        coefs = list(map(mul, lag, columns[source][j:end]))  # m = d .. 0
-        for lag, source in terms:
-            coefs[: len(lag)] = map(add, coefs, map(mul, lag, columns[source][j:end]))
+        coefs = list(map(mul, reversed(table.coefs), reversed(table.walk(j)[1][n])))  # m = d .. 0
         table.last_read = (j, coefs)
     t, value = u - j, 0.0
     for c in coefs:
@@ -411,11 +404,12 @@ def count_prob_steps(lam: float, eps: float, xs, n_max: int) -> np.ndarray:
     """p_0..p_{n_max} at xs by the method of steps, shape (n_max + 1, *xs.shape).
 
     The lattice values come from the model's cached step table, built up to
-    the last step that holds a point or to its tail stop; each point then runs
-    Horner's rule over its step's t^m coefficients, gathering one coefficient
-    at a time, so memory stays O(N (n_max + 1)) for N points. Points past the
-    first step where sum_k p_k < 2^-60 read 0, as P(N(x) <= n_max) does not
-    increase.
+    the last step that holds a point or to its tail stop. The coefficients
+    s_m (E^m v_{j-m}) are formed in blocks of at most _READ_VALUES, E applied
+    across the counts as count_prob_at's cursor applies it, and each point
+    runs Horner's rule in t over its step's, so both read the same bits.
+    Points past the first step where sum_k p_k < 2^-60 read 0, as
+    P(N(x) <= n_max) does not increase.
 
     Raises:
         CapacityError: For a point past STEP_TABLE_BUDGET / (n_max + 1) steps
@@ -435,20 +429,26 @@ def count_prob_steps(lam: float, eps: float, xs, n_max: int) -> np.ndarray:
     table = _STEP_TABLES.get(lam, eps, width, steps, True)
     if table.stop is None and top > limit:
         raise CapacityError(f"p_0..p_{n_max} at x = {top * eps:g} needs over {limit} steps of eps = {eps:g} (STEP_TABLE_BUDGET)")
-    deg, lags = table.degree, table.lags
+    deg = table.degree
     beyond = step >= (np.inf if table.stop is None else table.stop)
     index = np.where(beyond | np.isnan(step), 0.0, step).astype(np.intp)
     t = np.clip(u - index, 0.0, 1.0)
     rows = int(index.max(initial=0)) + 1  # steps 0..rows-1 hold every point
-    values = np.array([column[: deg + rows] for column in table.columns])  # count n's step values, one row per n
-    coef, term, acc = np.empty((width, rows)), np.empty((width, u.size)), np.zeros((width, u.size))
-    for m in range(deg, -1, -1):  # Horner's rule, one coefficient at a time
-        lagged = values[:, deg - m : deg - m + rows]  # v_{j-m} for steps j < rows
-        np.multiply(lags[0][deg - m], lagged, out=coef)  # G_m v: G_m is constant along each subdiagonal
-        for k in range(1, min(m, width - 1) + 1):
-            coef[k:] += lags[k][deg - m] * lagged[:-k]
-        acc *= t
-        acc += np.take(coef, index, axis=1, out=term, mode="wrap")  # index < rows: skip the bounds check
+    block = max(1, min(rows, _READ_VALUES // (width * (deg + 1))))
+    coefs, acc = np.empty((deg + 1, width, block)), np.zeros((width, u.size))
+    for lo in range(0, rows, block):
+        hi = min(lo + block, rows)
+        inside = slice(None) if block == rows else np.flatnonzero((index >= lo) & (index < hi))
+        at, tt, part = index[inside] - lo, t[inside], acc[:, inside]  # one block: views of every point
+        diff = np.array([column[lo : deg + hi] for column in table.columns])  # v_{lo-deg} .. v_{hi-1}
+        for m in range(deg + 1):
+            np.multiply(table.coefs[m], diff[:, deg - m : deg - m + hi - lo], out=coefs[m, :, : hi - lo])
+            diff[1:] -= diff[:-1]  # E, across the counts
+        term = np.empty_like(part)
+        for m in range(deg, -1, -1):  # Horner's rule, one coefficient at a time
+            part *= tt
+            part += np.take(coefs[m], at, axis=1, out=term, mode="wrap")  # at < hi - lo: skip the bounds check
+        acc[:, inside] = part  # a copy back only past one block
     acc[:, beyond] = 0.0
     return acc.reshape((width, *xs.shape))
 

@@ -130,6 +130,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _grid_points(text: str) -> int:
+    """argparse type: an integer from 1 to GRID_MAX_POINTS (anything else is a usage error)."""
+    value = _positive_int(text)
+    if value > GRID_MAX_POINTS:
+        raise argparse.ArgumentTypeError(f"must be at most {GRID_MAX_POINTS}, got {text!r}")
+    return value
+
+
 def _scenario(text: str) -> str:
     """argparse type: a scenario name, '-' accepted for '_' (anything else is a usage error)."""
     key = text.lower().replace("-", "_")
@@ -398,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.add_argument("--law", choices=("B", "U"), required=True, help="which law to sample")
     sp.add_argument("--n", type=_positive_int, default="1", help="cycle count for --law U")
-    sp.add_argument("--points", type=_positive_int, default=200, help="grid size (positive integer)")
+    sp.add_argument("--points", type=_grid_points, default=200, help="grid size (positive integer)")
     sp.set_defaults(handler=_cmd_density)
 
     sp = subs.add_parser(

@@ -75,12 +75,15 @@ class MixedLaw:
 
 def laplace_cluster_length(params: ModelParams, s: float) -> float:
     """Laplace transform of the cluster span at argument s >= 0:
-    (lam + s) e^{-(lam + s) eps} / (s + c), c = lam e^{-(lam + s) eps}.
+    (lam + s) e^{-(lam + s) eps} / (s + c), c = lam e^{-(lam + s) eps},
+    and 0 at s = inf, as the span is at least eps.
     """
-    if s < 0.0:
+    if not s >= 0.0:
         raise ValueError(f"transform argument must be non-negative, got {s}")
     if s == 0.0:
         return 1.0
+    if s == math.inf:
+        return 0.0
     lam, eps = params.intensity, params.radius
     damp = math.exp(-(lam + s) * eps)  # underflows to 0 where e^{(lam + s) eps} would overflow
     return (lam + s) * damp / (s + lam * damp)
@@ -93,7 +96,7 @@ def laplace_cycle_length(params: ModelParams, s: float) -> float:
     Equals the span transform times lam / (lam + s) by independence of the
     span and the following gap.
     """
-    if s < 0.0:
+    if not s >= 0.0:
         raise ValueError(f"transform argument must be non-negative, got {s}")
     if s == 0.0:
         return 1.0
@@ -110,8 +113,6 @@ def laplace_cycle_sum(params: ModelParams, n: int, s: float) -> float:
     """
     if n < 0:
         raise ValueError(f"cycle count must be non-negative, got {n}")
-    if n == 0:
-        return 1.0
     return laplace_cycle_length(params, s) ** n
 
 

@@ -252,6 +252,7 @@ def test_usage_error_exits_two():
         "density --law U --lambda 1 --epsilon 1 --n abc",
         "density --law U --lambda 1 --epsilon 1 --n 0",
         "density --law b --lambda 1 --epsilon 1",
+        f"density --law B --lambda 1 --epsilon 1 --points {GRID_MAX_POINTS + 1}",
         "simulate --scenario u-law --lambda 1 --epsilon 1 --length 4 --n x",
         "simulate --scenario complete --lambda 1 --epsilon 1 --length 4 --samples 0",
         "simulate --scenario complete --lambda 1 --epsilon 1 --length 4 --jobs 1",

@@ -4,6 +4,7 @@ validated against finite differences, quadrature, the 60-digit alternating
 sum and their own transform identities."""
 
 import math
+import operator
 import time
 import tracemalloc
 from array import array
@@ -80,6 +81,23 @@ class TestSpanTransform:
     def test_negative_argument_rejected(self):
         with pytest.raises(ValueError):
             laplace_cluster_length(ModelParams(1.0, 1.0), -0.1)
+
+    @pytest.mark.parametrize(
+        "transform",
+        [
+            laplace_cluster_length,
+            laplace_cycle_length,
+            lambda p, s: laplace_cycle_sum(p, 2, s),
+            lambda p, s: laplace_cycle_sum(p, 0, s),
+        ],
+    )
+    def test_nan_argument_rejected(self, transform):
+        with pytest.raises(ValueError, match="transform argument"):
+            transform(ModelParams(1.0, 1.0), math.nan)
+
+    def test_infinite_argument_reads_zero(self):
+        # the span is at least eps, so e^{-s span} vanishes
+        assert laplace_cluster_length(ModelParams(1.0, 1.0), math.inf) == 0.0
 
     def test_bounded_and_decreasing(self):
         rng = np.random.default_rng(5)
@@ -355,42 +373,87 @@ class TestStepsKernel:
             assert count_prob_steps(1.0, 1.0, xs[i : i + 1], n_max).tobytes() == whole[:, i].tobytes(), xs[i]
 
     @staticmethod
-    def lag_matrices(table: _StepTable, width: int) -> np.ndarray:
-        """G_m = h^m / m! (S - I)^m for m <= the table's degree, from its lag rows:
-        entry (i, i - l) of G_m is g(m, l), stored at lags[l][degree - m]."""
-        d, rows = table.degree, np.arange(width)
-        lags = np.zeros((d + 1, width, width))
-        for l, row in enumerate(table.lags):
-            lags[l:, rows[l:], rows[: width - l]] = np.array(row[::-1])[:, None]
-        return lags
+    def lattice(table: _StepTable, i: int) -> np.ndarray:
+        """v_i, the table's p_0..p_{width-1} at i eps (0 for i < 0)."""
+        return np.array([column[table.degree + i] for column in table.columns])
 
     @pytest.mark.parametrize("lam_eps", [0.25, 0.5, 1.0])
     @pytest.mark.parametrize("width", [1, 2, 3, 4])
-    def test_lag_table_matches_matrix_powers(self, lam_eps, width):
+    def test_difference_rows_match_matrix_powers(self, lam_eps, width):
+        # at every step j the scaled rows s_m (E^m v_{j-m}) are the step's t^m
+        # coefficients h^m / m! (S - I)^m v_{j-m}; the differences cancel, so
+        # the scale is an ulp of the term mass h^m / m! (I + S)^m |v_{j-m}|,
+        # which both sides' m + 1 roundings stay within
         h = lam_eps * math.exp(-lam_eps)
         table = _StepTable(h, width)
-        diff = h * (np.eye(width, k=-1) - np.eye(width))
-        powers = np.stack([np.linalg.matrix_power(diff, m) / math.factorial(m) for m in range(table.degree + 1)])
-        np.testing.assert_array_max_ulp(self.lag_matrices(table, width), powers, maxulp=4)
+        table.walk(60)
+        d, shift = table.degree, np.eye(width, k=-1)
+        signed = [np.linalg.matrix_power(h * (shift - np.eye(width)), m) / math.factorial(m) for m in range(d + 1)]
+        mass = [np.linalg.matrix_power(h * (shift + np.eye(width)), m) / math.factorial(m) for m in range(d + 1)]
+        for j in range(61):
+            rows = table.walk(j)[1]
+            for m in range(d + 1):
+                lagged = self.lattice(table, j - m)
+                scaled = table.coefs[m] * np.array([row[m] for row in rows])
+                bound = (m + 1) * np.spacing(mass[m] @ np.abs(lagged))
+                assert np.all(np.abs(scaled - signed[m] @ lagged) <= bound), (j, m)
 
     @pytest.mark.parametrize("lam_eps", [0.5, 1.0, 2.0, 4.0, 6.0])
-    def test_lag_table_is_the_binomial_table_to_three_ulp(self, lam_eps):
-        # at lam eps >= 2 the repeated squarings of matrix_power are
-        # themselves 5 to 8 ulp from the exact entries
+    def test_difference_rows_are_the_exact_differences(self, lam_eps):
+        # m differences of the stored lattice values each round by at most
+        # half an ulp of the absolute mass (I + S)^m |v|
         h = lam_eps * math.exp(-lam_eps)
         table = _StepTable(h, 6)
-        d, lags = table.degree, self.lag_matrices(table, 6)
-        for m in range(d + 1):
-            for i in range(6):
-                for j in range(6):
-                    k = i - j
-                    exact = Fraction(h) ** m / math.factorial(m) * (-1) ** (m - k) * math.comb(m, k) if 0 <= k <= m else 0
-                    assert abs(Fraction(lags[m, i, j]) - exact) <= 3 * Fraction(np.spacing(abs(float(exact)))), (m, i, j)
+        table.walk(80)
+        d = table.degree
+        for j in range(0, 81, 3):
+            rows = table.walk(j)[1]
+            for m in range(1, d + 1):
+                exact = [Fraction(x) for x in self.lattice(table, j - m)]
+                mass = [abs(x) for x in exact]
+                for _ in range(m):
+                    exact = [exact[0], *(b - a for a, b in zip(exact, exact[1:]))]
+                    mass = [mass[0], *(b + a for a, b in zip(mass, mass[1:]))]
+                for k in range(6):
+                    bound = m * Fraction(np.spacing(float(mass[k])))
+                    assert abs(Fraction(rows[k][m]) - exact[k]) <= bound, (j, m, k)
         # the degree is the first whose dropped rows all sum to under 3e-29:
-        # every lag row of G_m sums to at most (2h)^m / m!
+        # every row of h^m / m! (S - I)^m sums to at most (2h)^m / m!
         row_bound = lambda m: (2 * Fraction(h)) ** m / math.factorial(m)  # noqa: E731
         assert row_bound(d) >= Fraction(_STEP_DROP) > row_bound(d + 1)
         assert all(row_bound(m) < Fraction(_STEP_DROP) for m in range(d + 1, d + 60))
+
+    @staticmethod
+    def binomial_lag_lattice(h: float, width: int, steps: int) -> list[array]:
+        """The step table's columns built as before the difference rows: each
+        lattice value a sum of dot products of the binomial lag coefficients
+        g(m, l) = h^m / m! (-1)^(m - l) C(m, l) with older values. Kept as
+        the reference of the difference recurrence."""
+        degree = _pn._step_degree(h, _STEP_DROP)
+        scale = [h**m / math.factorial(m) for m in range(degree + 1)]
+        lags = [
+            [scale[m] * (-1) ** (m - l) * math.comb(m, l) for m in range(degree, l - 1, -1)]
+            for l in range(min(degree, width - 1) + 1)
+        ]
+        plan = [[(lags[l], k - l) for l in range(min(degree, k) + 1)] for k in range(width)]
+        columns = [array("d", [0.0] * degree + [float(k == 0)]) for k in range(width)]
+        for j in range(1, steps + 1):
+            windows = [column[j - 1 : degree + j] for column in columns]
+            for column, terms in zip(columns, plan):
+                column.append(sum(sum(map(operator.mul, lag, windows[source])) for lag, source in terms))
+        return columns
+
+    @pytest.mark.parametrize("lam_eps", [0.05, 1.0, 3.0, 6.0])
+    @pytest.mark.parametrize("width", [1, 2, 3, 16, 61])
+    def test_difference_recurrence_is_the_binomial_lag_build(self, lam_eps, width):
+        h = lam_eps * math.exp(-lam_eps)
+        table = _StepTable(h, width)
+        table.walk(80)
+        reference = self.binomial_lag_lattice(h, width, 80)
+        for column, ref in zip(table.columns, reference):
+            new, old = np.array(column), np.array(ref)
+            assert np.array_equal(new == 0.0, old == 0.0)
+            assert np.all(np.abs(new - old) <= 1e-13 * np.abs(old))
 
     @pytest.mark.parametrize("points,n_max", [(40_000, 0), (20_000, 2)])
     def test_peak_memory_is_a_few_rows_of_points(self, points, n_max):
@@ -406,6 +469,28 @@ class TestStepsKernel:
             tracemalloc.stop()
         assert peak < 3e6
 
+    def test_a_long_read_forms_its_coefficients_in_blocks(self):
+        # 2 000 points out to the tail stop near step 416 000 of the width-1
+        # table: one block of coefficients for every step would hold 23 MB
+        lam, eps = 1.0, 1e-4
+        _STEP_TABLES.clear()
+        try:
+            count_prob_steps(lam, eps, np.array([1e9]), 0)  # builds to the tail stop
+            stop = _STEP_TABLES.get(lam, eps, 1, 0, False).stop
+            xs = np.linspace(0.0, stop * eps, 2000)
+            tracemalloc.start()
+            try:
+                values = count_prob_steps(lam, eps, xs, 0)[0]
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # each block reads the bits of the scalar path
+            assert [count_prob_at(lam, eps, float(x), 0) for x in xs[::111]] == values[::111].tolist()
+        finally:
+            _STEP_TABLES.clear()
+        assert peak < 4e6
+        assert values[0] == 1.0 and values[:-1].min() > 0.0
+
 
 class TestStepTables:
     """The cached per-model step tables that the CDFs, the span density and
@@ -416,9 +501,9 @@ class TestStepTables:
     def test_a_table_extended_in_pieces_is_the_table_built_at_once(self, lam_eps, width):
         h = lam_eps * math.exp(-lam_eps)
         whole, pieces = _StepTable(h, width), _StepTable(h, width)
-        whole.extend(600, False)
+        whole.walk(600)
         for steps in (1, 2, 17, 18, 300, 599, 600):
-            pieces.extend(steps, False)
+            pieces.walk(steps)
         assert whole.steps == pieces.steps == 600 and whole.stop == pieces.stop
         assert [column.tobytes() for column in pieces.columns] == [column.tobytes() for column in whole.columns]
 
@@ -438,7 +523,7 @@ class TestStepTables:
         lam, width = 1.3, 3
         eps = lam_eps / lam
         whole = _StepTable(lam * math.exp(-lam * eps) * eps, width)
-        whole.extend(300, False)
+        whole.walk(300)
         _STEP_TABLES.clear()
         try:
             for j in range(300):
@@ -459,7 +544,7 @@ class TestStepTables:
 
     @pytest.mark.parametrize("lam_eps", [0.5, 1.0, 6.0])
     @pytest.mark.parametrize("n", [0, 1, 2])
-    def test_scalar_reads_are_the_array_reads_to_a_few_ulp(self, lam_eps, n):
+    def test_scalar_reads_are_the_array_reads_bit_for_bit(self, lam_eps, n):
         lam = 1.3
         eps = lam_eps / lam
         _STEP_TABLES.clear()
@@ -472,7 +557,7 @@ class TestStepTables:
         finally:
             _STEP_TABLES.clear()
         assert steps.min() < 1e-17
-        np.testing.assert_array_max_ulp(at, steps, maxulp=4)
+        np.testing.assert_array_max_ulp(at, steps, maxulp=0)
 
     def test_reads_do_not_depend_on_how_the_table_grew(self):
         p = ModelParams(0.8, 1.5)
